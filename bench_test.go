@@ -9,6 +9,7 @@ package rfly_test
 // benches measure the cost and track the statistics.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -175,7 +176,7 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 			cfg.Region = &loc.Region{X0: -2, Y0: 0.2, X1: 5, Y1: 5}
 			var e float64
 			for i := 0; i < b.N; i++ {
-				out, err := loc.Localize(meas, traj, cfg)
+				out, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -270,7 +271,7 @@ func BenchmarkSARLocalize(b *testing.B) {
 	cfg.Region = &loc.Region{X0: -2, Y0: 0.2, X1: 5, Y1: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(meas, traj, cfg); err != nil {
+		if _, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +311,7 @@ func syntheticSAR() ([]loc.Measurement, geom.Trajectory) {
 	tg := d.AddTag(epc.NewEPC96(7, 7, 7, 7, 7, 7), geom.P(1.5, 2.0, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), rng.New(99).Split("f"))
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -472,7 +473,7 @@ func BenchmarkAblationPhaseOnly(b *testing.B) {
 			cfg.PhaseOnly = phaseOnly
 			var e float64
 			for i := 0; i < b.N; i++ {
-				out, err := loc.Localize(meas, traj, cfg)
+				out, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

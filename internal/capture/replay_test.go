@@ -179,3 +179,18 @@ func TestConcurrentAppendSnapshotReplay(t *testing.T) {
 		t.Fatalf("writer sealed %d segments, want 12", got)
 	}
 }
+
+// TestReplayZeroChannelLogFails: a log whose records all carry H=0 holds
+// no matched-filter energy; replay must report an error, not a location.
+func TestReplayZeroChannelLogFails(t *testing.T) {
+	ctx := context.Background()
+	recs := synthRecords(8, 1, geom.P(0.5, 1.5, 0))
+	for i := range recs {
+		recs[i].H = 0
+	}
+	l := NewLog(testHeader())
+	l.AppendSegmentCtx(ctx, 1, recs)
+	if rr, err := Replay(ctx, l.Snapshot(), LiveOptions()); err == nil {
+		t.Fatalf("zero-channel log replayed to %+v", rr.Location)
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 
@@ -226,7 +227,7 @@ func Localization3D(trials int, seed uint64) ThreeDResult {
 		cfg.Region = &loc.Region{X0: -1, Y0: 0.9, X1: 4, Y1: 3}
 		cfg.CoarseRes = 0.12
 		cfg.FineRes = 0.02
-		out, err := loc.Localize3D(meas, plan, cfg, -0.2, 2.0)
+		out, err := loc.Localize3DCtx(context.Background(), meas, plan, cfg, -0.2, 2.0)
 		if err != nil {
 			res.Failed++
 			continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"rfly/internal/drone"
@@ -279,7 +280,7 @@ func faultLocErrors(cfg FaultMatrixConfig, c fault.Class, seed uint64) (naiveErr
 		plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), cfg.LocPoints)
 		src := rng.New(s).Split("flight")
 		flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), src)
-		cap, err := d.CollectSARSteps(flight, tg, func(int) {
+		cap, err := d.CollectSARCtx(context.Background(), flight, tg, func(int) {
 			inj.Step()
 			wd.Tick(d)
 			if !d.RelayPowered() {
@@ -289,7 +290,7 @@ func faultLocErrors(cfg FaultMatrixConfig, c fault.Class, seed uint64) (naiveErr
 			if !d.RelayPlanStable() {
 				d.ReprogramGains()
 			}
-		})
+		}, nil)
 		if err != nil {
 			naiveFails++
 			robustFails++
@@ -302,13 +303,13 @@ func faultLocErrors(cfg FaultMatrixConfig, c fault.Class, seed uint64) (naiveErr
 		lcfg.Region = &loc.Region{X0: x0 - 3, Y0: y0 + 0.2, X1: x1 + 3, Y1: y0 + 6}
 		lcfg.PeakThreshold = 0.82
 
-		if res, err := loc.Localize(cap.Disentangled, traj, lcfg); err != nil {
+		if res, err := loc.LocalizeCtx(context.Background(), cap.Disentangled, traj, lcfg); err != nil {
 			naiveFails++
 		} else {
 			naiveSum += res.Location.Dist2D(tagPos)
 			naiveN++
 		}
-		if res, err := loc.LocalizeRobust(cap.Disentangled, traj, lcfg); err != nil {
+		if res, err := loc.LocalizeRobustCtx(context.Background(), cap.Disentangled, traj, lcfg); err != nil {
 			robustFails++
 		} else {
 			robustSum += res.Location.Dist2D(tagPos)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"rfly/internal/drone"
@@ -55,14 +56,14 @@ func figure6Trial(name string, scene *world.Scene, seed uint64) (Figure6Result, 
 
 	plan := geom.Line(geom.P(0, 0, 0.4), geom.P(3, 0, 0.4), 40)
 	flight := drone.Create2().Fly(plan, drone.DefaultOptiTrack(), rng.New(seed).Split("flight"))
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		return res, fmt.Errorf("figure6 %s: %w", name, err)
 	}
 	cfg := loc.DefaultConfig(d.Model.Freq)
 	cfg.Region = &loc.Region{X0: -0.5, Y0: 0.2, X1: 3.5, Y1: 5.0}
 	cfg.CoarseRes = 0.05 // fine heatmap for rendering
-	out, err := loc.Localize(cap.Disentangled, flight.MeasuredTrajectory(), cfg)
+	out, err := loc.LocalizeCtx(context.Background(), cap.Disentangled, flight.MeasuredTrajectory(), cfg)
 	if err != nil {
 		return res, fmt.Errorf("figure6 %s: %w", name, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -58,7 +59,7 @@ func locTrial(p locTrialParams, seed uint64) (locTrialResult, error) {
 	plan := geom.Line(p.flightA, p.flightB, p.points)
 	src := rng.New(seed).Split("flight")
 	flight := p.platform.Fly(plan, drone.DefaultOptiTrack(), src)
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		return out, err
 	}
@@ -74,7 +75,7 @@ func locTrial(p locTrialParams, seed uint64) (locTrialResult, error) {
 	cfg := loc.DefaultConfig(d.Model.Freq)
 	cfg.Region = region
 	cfg.PeakThreshold = 0.82
-	res, err := loc.Localize(cap.Disentangled, traj, cfg)
+	res, err := loc.LocalizeCtx(context.Background(), cap.Disentangled, traj, cfg)
 	if err != nil {
 		return out, err
 	}

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -167,7 +168,7 @@ func TestLocalizeCoarseGridUsesGridCount(t *testing.T) {
 	cfg := DefaultConfig(f900)
 	cfg.CoarseRes = 0.3
 	cfg.Region = &Region{X0: -3, Y0: 0.5, X1: 6, Y1: 5} // X span 9.0, Y span 4.5
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestLocalizeCoarseGridUsesGridCount(t *testing.T) {
 	// And at the default 0.10 m pitch over a 4 m-wide exact region.
 	cfg = DefaultConfig(f900)
 	cfg.Region = &Region{X0: 0, Y0: 0.5, X1: 4, Y1: 4.5}
-	res, err = Localize(meas, traj, cfg)
+	res, err = LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package loc implements RFly's through-relay localization (§5): phase
 // disentanglement of the two half-links via the relay-embedded reference
 // RFID (Eq. 10), SAR-style non-linear projection over the drone's
-// trajectory (Eq. 12) with multi-resolution search, the
+// trajectory (Eq. 12) with a coarse grid and fine refinement, the
 // nearest-peak-to-trajectory multipath rule (§5.2), a 3D extension, and
 // the RSSI-based baseline of §7.3.
 package loc
@@ -28,32 +28,24 @@ type Measurement struct {
 	// Unlocked marks a capture taken while the relay's carrier lock was
 	// degraded (mid-re-lock, or with residual CFO): its phase is
 	// decorrelated from the geometry and integrating it only adds noise.
-	// LocalizeRobust drops these; plain Localize ignores the flag.
+	// LocalizeRobustCtx drops these; plain LocalizeCtx ignores the flag.
 	Unlocked bool
 }
 
-// Disentangle implements Eq. 10: dividing the target tag's channel by the
-// relay-embedded reference tag's channel at each trajectory point cancels
-// the reader→relay half-link (including all its multipath) and the relay
-// hardware constant, leaving only the relay→tag half-link.
+// Disentangle implements Eq. 10 for one trajectory point: dividing the
+// target tag's channel by the relay-embedded reference tag's channel
+// cancels the reader→relay half-link (including all its multipath) and
+// the relay hardware constant, leaving only the relay→tag half-link.
 //
-// target and reference must be index-aligned per trajectory point; the
-// result has the same length. Points where the reference channel is too
-// weak to divide by are zeroed (they contribute nothing to the matched
-// filter rather than exploding).
-func Disentangle(target, reference []complex128) ([]complex128, error) {
-	if len(target) != len(reference) {
-		return nil, fmt.Errorf("loc: %d target vs %d reference channels", len(target), len(reference))
+// Pose and the Unlocked flag ride from the target capture. A reference
+// channel too weak to divide by yields a zero channel: the point then
+// contributes nothing to the matched filter rather than exploding.
+func Disentangle(target, reference Measurement) Measurement {
+	var h complex128
+	if cmplx.Abs(reference.H) >= 1e-15 {
+		h = target.H / reference.H
 	}
-	out := make([]complex128, len(target))
-	for i := range target {
-		if cmplx.Abs(reference[i]) < 1e-15 {
-			out[i] = 0
-			continue
-		}
-		out[i] = target[i] / reference[i]
-	}
-	return out, nil
+	return Measurement{Pos: target.Pos, H: h, Unlocked: target.Unlocked}
 }
 
 // Config parameterizes the SAR localizer.
@@ -62,8 +54,8 @@ type Config struct {
 	// use f even though the isolated half-link was measured at f2, because
 	// the relay keeps (f−f2)/f below 1%.
 	Freq float64
-	// CoarseRes / FineRes are the grid steps of the multi-resolution
-	// search (meters).
+	// CoarseRes / FineRes are the grid steps of the coarse search and
+	// the fine refinement around each coarse peak (meters).
 	CoarseRes float64
 	FineRes   float64
 	// Margin extends the search region beyond the trajectory bounds
@@ -100,19 +92,6 @@ type Config struct {
 	// harness's serial-vs-parallel comparison and for embedding in an
 	// already-saturated host.
 	Workers int
-	// MultiRes enables the coarse-to-fine scan (multires.go): the coarse
-	// pass first samples a super-grid at MultiResFactor× the cell pitch,
-	// then fills the CoarseRes lattice only inside the top TopKBasins
-	// basins. The refined tail is shared with the exhaustive scan, and the
-	// multires gate test asserts the same final argmax on the testbed
-	// scenarios; the heatmap it returns is sparse (unvisited cells zero).
-	MultiRes bool
-	// MultiResFactor is the super-grid pitch in coarse cells (values < 2
-	// mean the default 4).
-	MultiResFactor int
-	// TopKBasins bounds how many super-grid basins are filled at CoarseRes
-	// (≤ 0 means MaxCandidates + 2, floored at 4).
-	TopKBasins int
 }
 
 // DefaultConfig returns the reproduction's localizer settings.
@@ -166,6 +145,8 @@ type Candidate struct {
 
 // projection evaluates P(x,y) of Eq. 12 at one point: the coherent sum of
 // the disentangled channels counter-rotated by each round-trip distance.
+// It serves the fine refinement, Uncertainty and the 3D scan; the 2D
+// coarse grid is accumulated by StreamSolver.fold.
 func projection(meas []Measurement, x, y, z, freq float64) float64 {
 	k := 4 * math.Pi * freq / signal.C // phase per meter of one-way distance ×2
 	var acc complex128
@@ -178,71 +159,47 @@ func projection(meas []Measurement, x, y, z, freq float64) float64 {
 	return cmplx.Abs(acc)
 }
 
-// Localize runs the 2D SAR search: coarse grid over the trajectory bounds
-// plus margin, peak extraction, fine refinement, then the multipath rule —
-// among candidates above PeakThreshold×max, pick the one nearest the
-// trajectory (§5.2), since ghost images always lie farther away than the
-// true tag.
-func Localize(meas []Measurement, traj geom.Trajectory, cfg Config) (*Result, error) {
-	return LocalizeCtx(context.Background(), meas, traj, cfg)
-}
-
-// LocalizeCtx is Localize under a deadline. The SAR search is the
-// pipeline's compute hot spot — the coarse grid alone is O(cells ×
-// measurements) — so the heatmap rows are partitioned across a
-// GOMAXPROCS worker pool (cfg.Workers overrides; results are
-// bit-identical to the serial scan) and ctx is checked once per row
-// inside every stripe plus once per peak refinement; a cancelled search
-// returns ctx's error rather than a half-integrated heatmap.
+// LocalizeCtx runs the 2D SAR search: coarse grid over the search
+// rectangle (cfg.Region, else the trajectory bounds plus Margin), peak
+// extraction, fine refinement, then the multipath rule — among candidates
+// above PeakThreshold×max, pick the one nearest the trajectory (§5.2),
+// since ghost images always lie farther away than the true tag.
+//
+// The coarse grid is the StreamSolver fold with the whole aperture as one
+// batch, its rows striped across a GOMAXPROCS worker pool (cfg.Workers
+// overrides; results are bit-identical for every worker count). ctx is
+// checked once per row inside every stripe plus once per peak refinement;
+// a cancelled search returns ctx's error rather than a half-integrated
+// heatmap.
 func LocalizeCtx(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Config) (*Result, error) {
-	if len(meas) < 3 {
-		return nil, fmt.Errorf("loc: need at least 3 measurements, have %d", len(meas))
+	rr, err := solve(ctx, meas, traj, cfg, false)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CoarseRes <= 0 || cfg.FineRes <= 0 {
-		return nil, fmt.Errorf("loc: non-positive grid resolution")
-	}
-	if cfg.PhaseOnly {
-		meas = normalizeAmplitudes(meas)
-	}
-	x0, y0, x1, y1 := cfg.searchBounds(traj)
-
-	// The coarse lattice is sized by the shared gridCount helper like every
-	// other grid in the package: Ceil-based sizing gained or lost a
-	// boundary row/column to float error on exact-multiple spans.
-	cols := gridCount(x1-x0, cfg.CoarseRes)
-	rows := gridCount(y1-y0, cfg.CoarseRes)
-	ctx, span := obs.StartSpan(ctx, "loc.solve")
-	span.Int("rows", int64(rows)).Int("cols", int64(cols)).Int("meas", int64(len(meas))).Bool("multires", cfg.MultiRes)
-	defer span.End()
-	hm := stats.NewHeatmap(x0, y0, cfg.CoarseRes, cfg.CoarseRes, cols, rows)
-	var peaks []gridPeak
-	if cfg.MultiRes {
-		var err error
-		peaks, err = multiResScan(ctx, meas, cfg, hm)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		err := stripeRows(ctx, rows, cfg.Workers, func(r int) {
-			for c := 0; c < cols; c++ {
-				x, y := hm.CellCenter(c, r)
-				hm.Set(c, r, projection(meas, x, y, 0, cfg.Freq))
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loc: search abandoned mid-grid (%d rows): %w", rows, err)
-		}
-		peaks = localMaxima(hm, cfg.PeakThreshold, cfg.MaxCandidates,
-			suppressRadiusCells(cfg.Freq, cfg.CoarseRes))
-	}
-	span.Int("peaks", int64(len(peaks)))
-	return refineAndPick(ctx, meas, traj, cfg, hm, peaks)
+	return rr.Result, nil
 }
 
-// refineAndPick is the shared tail of every 2D solve — exhaustive,
-// multi-resolution, and streaming finalize all funnel through it, which is
-// what lets the equivalence gates compare whole Results rather than just
-// argmaxes. Each coarse peak is hill-refined on the fine lattice, then the
+// solve is the batch 2D solve behind LocalizeCtx and LocalizeRobustCtx: a
+// StreamSolver over the search rectangle folds meas under ctx, and the
+// shared finalize measures candidates against the caller's trajectory.
+func solve(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Config, robust bool) (*RobustResult, error) {
+	x0, y0, x1, y1 := cfg.searchBounds(traj)
+	cfg.Region = &Region{X0: x0, Y0: y0, X1: x1, Y1: y1}
+	s, err := newStreamSolver(cfg, robust)
+	if err != nil {
+		return nil, err
+	}
+	ctx, span := obs.StartSpan(ctx, "loc.solve")
+	span.Int("rows", int64(s.rows)).Int("cols", int64(s.cols)).Int("meas", int64(len(meas)))
+	defer span.End()
+	if err := s.fold(ctx, s.admit(meas)); err != nil {
+		return nil, fmt.Errorf("loc: search abandoned mid-grid (%d rows): %w", s.rows, err)
+	}
+	return s.finalize(ctx, s.heatmap(), s.kept, s.total, traj)
+}
+
+// refineAndPick refines the coarse peaks and applies the multipath rule;
+// finalize runs it for every 2D solve. Each coarse peak is hill-refined on the fine lattice, then the
 // multipath rule (§5.2) picks the answer: among candidates within threshold
 // of the best, choose the one closest to the trajectory — but only consider
 // candidates far enough from the global maximum to be genuine ghost images
@@ -303,7 +260,7 @@ func refine2D(meas []Measurement, cx, cy, coarseRes, fineRes, freq float64) (x, 
 // normalizeAmplitudes returns measurements scaled to unit magnitude
 // (zero-amplitude entries dropped). The Unlocked flag rides along: a
 // carrier-unlocked capture is still unlocked at unit amplitude, and
-// dropping the flag here would launder it past LocalizeRobust's rejection
+// dropping the flag here would launder it past LocalizeRobustCtx's rejection
 // whenever PhaseOnly mode re-enters the solve.
 func normalizeAmplitudes(meas []Measurement) []Measurement {
 	out := make([]Measurement, 0, len(meas))
@@ -419,16 +376,10 @@ func abs(a int) int {
 	return a
 }
 
-// Localize3D extends the search to a height range [z0, z1] (§5.2: possible
-// when the trajectory itself is two-dimensional). The coarse pass scans
-// z in coarse steps; refinement searches the full 3D neighborhood of the
-// best cell.
-func Localize3D(meas []Measurement, traj geom.Trajectory, cfg Config, z0, z1 float64) (*Result, error) {
-	return Localize3DCtx(context.Background(), meas, traj, cfg, z0, z1)
-}
-
-// Localize3DCtx is Localize3D under a deadline. Like LocalizeCtx, the
-// coarse volume scan is striped across the worker pool — one "row" per
+// Localize3DCtx extends the search to a height range [z0, z1] (§5.2:
+// possible when the trajectory itself is two-dimensional). The coarse pass
+// scans z in coarse steps; refinement searches the full 3D neighborhood
+// of the best cell. Like LocalizeCtx, the coarse volume scan is striped across the worker pool — one "row" per
 // (z, y) line so the stripes stay fine-grained — with a per-line argmax
 // (strict >, matching serial x order) merged in ascending (z, y) order on
 // the caller's goroutine, which keeps the result bit-identical to the
@@ -509,14 +460,6 @@ func Localize3DCtx(ctx context.Context, meas []Measurement, traj geom.Trajectory
 		Peak:       fv,
 		Candidates: []Candidate{{Location: loc, Value: fv, TrajectoryDist: traj.DistToPoint(loc)}},
 	}, nil
-}
-
-// LocalizeReader applies the same SAR machinery to the relay-embedded
-// tag's channels, whose phases encode only the reader→relay half-link:
-// solving for the static endpoint localizes the reader (or equivalently,
-// with a known reader, serves as drone self-localization, §5.1).
-func LocalizeReader(embedded []Measurement, traj geom.Trajectory, cfg Config) (*Result, error) {
-	return Localize(embedded, traj, cfg)
 }
 
 // Uncertainty estimates the 1-σ localization uncertainty along X and Y

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -45,26 +46,25 @@ func regionAbove(freq float64) Config {
 }
 
 func TestDisentangle(t *testing.T) {
+	pos := geom.P(1, 2, 0.8)
 	target := []complex128{2 + 0i, 4i, 1 + 1i}
 	ref := []complex128{1 + 0i, 2i, 1 + 0i}
-	out, err := Disentangle(target, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []complex128{2, 2, 1 + 1i}
 	for i := range want {
-		if cmplx.Abs(out[i]-want[i]) > 1e-12 {
-			t.Fatalf("out[%d] = %v", i, out[i])
+		out := Disentangle(Measurement{Pos: pos, H: target[i], Unlocked: i == 1}, Measurement{Pos: pos, H: ref[i]})
+		if cmplx.Abs(out.H-want[i]) > 1e-12 {
+			t.Fatalf("out[%d] = %v", i, out.H)
+		}
+		// Pose and lock provenance ride from the target capture.
+		if out.Pos != pos || out.Unlocked != (i == 1) {
+			t.Fatalf("out[%d] lost pose/lock provenance: %+v", i, out)
 		}
 	}
-	// Length mismatch errors.
-	if _, err := Disentangle(target, ref[:2]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
 	// Weak reference zeroes the sample instead of exploding.
-	out, err = Disentangle([]complex128{1}, []complex128{0})
-	if err != nil || out[0] != 0 {
-		t.Fatalf("weak reference: %v %v", out, err)
+	for _, weak := range []complex128{0, 1e-16} {
+		if out := Disentangle(Measurement{H: 1}, Measurement{H: weak}); out.H != 0 {
+			t.Fatalf("weak reference %v: %v", weak, out.H)
+		}
 	}
 }
 
@@ -72,30 +72,19 @@ func TestDisentangleCancelsFirstHalfLink(t *testing.T) {
 	// Eq. 10 end-to-end: entangled channel = (reader→relay factor with
 	// multipath) × (relay→tag factor). Dividing by the embedded tag's
 	// channel (= first factor alone) must recover the second exactly.
-	src := rng.New(1)
 	traj := geom.Line(geom.P2(0, 0), geom.P2(2, 0), 20)
 	tagPos := geom.P2(1, 2)
 	reader := geom.P2(-8, 1)
 	k := 4 * math.Pi * f900 / signal.C
-	var target, ref, want []complex128
-	for _, p := range traj.Points {
+	for i, p := range traj.Points {
 		d1 := reader.Dist(p)
 		// Reader→relay half-link with a multipath term.
 		h1 := cmplx.Rect(1/(d1*d1), -k*d1) + cmplx.Rect(0.3/(d1*d1), -k*(d1+3.7))
 		d2 := p.Dist(tagPos)
 		h2 := cmplx.Rect(1/(d2*d2), -k*d2)
-		target = append(target, h1*h2)
-		ref = append(ref, h1)
-		want = append(want, h2)
-	}
-	_ = src
-	got, err := Disentangle(target, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("sample %d: %v vs %v", i, got[i], want[i])
+		got := Disentangle(Measurement{Pos: p, H: h1 * h2}, Measurement{Pos: p, H: h1})
+		if cmplx.Abs(got.H-h2) > 1e-9 {
+			t.Fatalf("sample %d: %v vs %v", i, got.H, h2)
 		}
 	}
 }
@@ -108,7 +97,7 @@ func TestLocalizeCleanLoS(t *testing.T) {
 	meas := synthChannels(traj, tagPos, f900, nil, 0, 0, nil)
 	cfg := regionAbove(f900)
 	cfg.Region.Y0 = 0.5
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +114,7 @@ func TestLocalizeNoisy(t *testing.T) {
 	traj := geom.Line(geom.P2(0, 0), geom.P2(3, 0), 40)
 	tagPos := geom.P2(2.0, 1.5)
 	meas := synthChannels(traj, tagPos, f900, nil, 0, 0.3, src)
-	res, err := Localize(meas, traj, regionAbove(f900))
+	res, err := LocalizeCtx(context.Background(), meas, traj, regionAbove(f900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +130,7 @@ func TestMultipathRulePicksNearPeak(t *testing.T) {
 	tagPos := geom.P2(1.2, 1.0)
 	ghost := geom.P2(1.2, 3.4) // mirror image behind a shelf
 	meas := synthChannels(traj, tagPos, f900, []geom.Point{ghost}, 0.9, 0, nil)
-	res, err := Localize(meas, traj, regionAbove(f900))
+	res, err := LocalizeCtx(context.Background(), meas, traj, regionAbove(f900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +152,7 @@ func TestLocalizeAccuracyImprovesWithAperture(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			traj := geom.Line(geom.P2(1.5-ap/2, 0), geom.P2(1.5+ap/2, 0), 30)
 			meas := synthChannels(traj, tagPos, f900, nil, 0, 0.5, src)
-			res, err := Localize(meas, traj, regionAbove(f900))
+			res, err := LocalizeCtx(context.Background(), meas, traj, regionAbove(f900))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,13 +169,13 @@ func TestLocalizeAccuracyImprovesWithAperture(t *testing.T) {
 
 func TestLocalizeErrors(t *testing.T) {
 	traj := geom.Line(geom.P2(0, 0), geom.P2(1, 0), 2)
-	if _, err := Localize(nil, traj, DefaultConfig(f900)); err == nil {
+	if _, err := LocalizeCtx(context.Background(), nil, traj, DefaultConfig(f900)); err == nil {
 		t.Fatal("no measurements accepted")
 	}
 	meas := synthChannels(geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5), geom.P2(0.5, 1), f900, nil, 0, 0, nil)
 	bad := DefaultConfig(f900)
 	bad.FineRes = 0
-	if _, err := Localize(meas, geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5), bad); err == nil {
+	if _, err := LocalizeCtx(context.Background(), meas, geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5), bad); err == nil {
 		t.Fatal("zero resolution accepted")
 	}
 }
@@ -201,14 +190,14 @@ func TestLocalize3D(t *testing.T) {
 	cfg.Margin = 2
 	cfg.CoarseRes = 0.15
 	cfg.FineRes = 0.03
-	res, err := Localize3D(meas, traj, cfg, -0.5, 1.0)
+	res, err := Localize3DCtx(context.Background(), meas, traj, cfg, -0.5, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := res.Location.Dist(tagPos); e > 0.25 {
 		t.Fatalf("3D error = %v (got %v)", e, res.Location)
 	}
-	if _, err := Localize3D(meas[:3], traj, cfg, 0, 1); err == nil {
+	if _, err := Localize3DCtx(context.Background(), meas[:3], traj, cfg, 0, 1); err == nil {
 		t.Fatal("3 measurements accepted for 3D")
 	}
 }
@@ -224,7 +213,7 @@ func TestLocalizeReaderHalfLink(t *testing.T) {
 		d := p.Dist(readerPos)
 		meas = append(meas, Measurement{Pos: p, H: cmplx.Rect(1/(d*d), -k*d)})
 	}
-	res, err := LocalizeReader(meas, traj, regionAbove(f900))
+	res, err := LocalizeCtx(context.Background(), meas, traj, regionAbove(f900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +246,7 @@ func TestLocalizeRSSIWorseThanSAR(t *testing.T) {
 	// K·(λ/4πd)² = 1/d² → K = (4π/λ)².
 	k := math.Pow(4*math.Pi/lambda, 2)
 	meas := synthChannels(traj, tagPos, f900, nil, 0, 0.4, src)
-	sar, err := Localize(meas, traj, regionAbove(f900))
+	sar, err := LocalizeCtx(context.Background(), meas, traj, regionAbove(f900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +288,7 @@ func TestPhaseOnlyLocalization(t *testing.T) {
 	meas := synthChannels(traj, tagPos, f900, nil, 0, 0, nil)
 	cfg := regionAbove(f900)
 	cfg.PhaseOnly = true
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +298,7 @@ func TestPhaseOnlyLocalization(t *testing.T) {
 	// Zero-amplitude entries (failed disentanglement points) are dropped,
 	// not divided by.
 	meas[5].H = 0
-	if _, err := Localize(meas, traj, cfg); err != nil {
+	if _, err := LocalizeCtx(context.Background(), meas, traj, cfg); err != nil {
 		t.Fatalf("zero-amplitude measurement broke phase-only mode: %v", err)
 	}
 }
@@ -323,7 +312,7 @@ func TestPhaseOnlyEqualizesFarPoints(t *testing.T) {
 	meas := synthChannels(traj, tagPos, f900, nil, 0, 0, nil)
 	cfg := regionAbove(f900)
 	cfg.PhaseOnly = true
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +328,7 @@ func TestUncertainty(t *testing.T) {
 	measBig := synthChannels(big, tagPos, f900, nil, 0, 0, nil)
 	cfg := regionAbove(f900)
 	cfg.Region.Y0 = 0.5
-	resBig, err := Localize(measBig, big, cfg)
+	resBig, err := LocalizeCtx(context.Background(), measBig, big, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +336,7 @@ func TestUncertainty(t *testing.T) {
 	// Small aperture: broad peak, larger σ.
 	small := geom.Line(geom.P2(1.2, 0.3), geom.P2(1.8, 0.3), 12)
 	measSmall := synthChannels(small, tagPos, f900, nil, 0, 0, nil)
-	resSmall, err := Localize(measSmall, small, cfg)
+	resSmall, err := LocalizeCtx(context.Background(), measSmall, small, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +372,7 @@ func TestLocalizeDenseDoubleBounceMultipath(t *testing.T) {
 	meas := synthChannels(traj, tagPos, f900,
 		[]geom.Point{ghost1, ghost2}, 0.6, 0.2, rng.New(5))
 	cfg := regionAbove(f900)
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

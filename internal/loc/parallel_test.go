@@ -22,7 +22,7 @@ func testbedSAR(t testing.TB) ([]loc.Measurement, geom.Trajectory) {
 	tg := d.AddTag(epc.NewEPC96(7, 7, 7, 7, 7, 7), geom.P(1.5, 2.0, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), rng.New(99).Split("f"))
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,13 @@ func TestParallelLocalizeBitIdentical(t *testing.T) {
 	cfg.Region = &loc.Region{X0: -2, Y0: 0.2, X1: 5, Y1: 5}
 
 	cfg.Workers = 1
-	serial, err := loc.Localize(meas, traj, cfg)
+	serial, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 7} {
 		cfg.Workers = workers
-		par, err := loc.Localize(meas, traj, cfg)
+		par, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,13 +86,13 @@ func TestParallelLocalize3DBitIdentical(t *testing.T) {
 	cfg.Region = &loc.Region{X0: -1, Y0: 0.2, X1: 4, Y1: 4}
 
 	cfg.Workers = 1
-	serial, err := loc.Localize3D(meas, traj, cfg, 0, 0.8)
+	serial, err := loc.Localize3DCtx(context.Background(), meas, traj, cfg, 0, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 3} {
 		cfg.Workers = workers
-		par, err := loc.Localize3D(meas, traj, cfg, 0, 0.8)
+		par, err := loc.Localize3DCtx(context.Background(), meas, traj, cfg, 0, 0.8)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

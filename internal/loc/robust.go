@@ -2,14 +2,12 @@ package loc
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"rfly/internal/geom"
 	"rfly/internal/obs"
 )
 
-// RobustResult is LocalizeRobust's outcome: the solve over the surviving
+// RobustResult is LocalizeRobustCtx's outcome: the solve over the surviving
 // measurements plus an honest accounting of what was thrown away and how
 // much the answer's confidence widened because of it.
 type RobustResult struct {
@@ -38,39 +36,21 @@ func RejectUnlocked(meas []Measurement) ([]Measurement, int) {
 	return kept, len(meas) - len(kept)
 }
 
-// LocalizeRobust is Localize hardened for faulty flights: unlocked
+// LocalizeRobustCtx is LocalizeCtx hardened for faulty flights: unlocked
 // captures are rejected before the SAR integration (their phases carry no
 // geometry), and the reported 1-σ uncertainty is widened by
 // sqrt(total/kept) to reflect the thinner aperture. It errors when
 // rejection leaves fewer than the three measurements a solve needs —
 // a flight that was dark throughout should fail loudly, not return a
 // noise peak with a confident σ.
-func LocalizeRobust(meas []Measurement, traj geom.Trajectory, cfg Config) (*RobustResult, error) {
-	return LocalizeRobustCtx(context.Background(), meas, traj, cfg)
-}
-
-// LocalizeRobustCtx is LocalizeRobust with the deadline threaded through
-// to the underlying grid search.
 func LocalizeRobustCtx(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Config) (*RobustResult, error) {
 	ctx, span := obs.StartSpan(ctx, "loc.robust")
 	defer span.End()
-	kept, _ := RejectUnlocked(meas)
-	span.Int("total", int64(len(meas))).Int("kept", int64(len(kept)))
-	if len(kept) < 3 {
-		return nil, fmt.Errorf("loc: only %d/%d measurements survived lock rejection",
-			len(kept), len(meas))
-	}
-	res, err := LocalizeCtx(ctx, kept, traj, cfg)
+	span.Int("total", int64(len(meas)))
+	rr, err := solve(ctx, meas, traj, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sx, sy := Uncertainty(kept, res, cfg)
-	widen := math.Sqrt(float64(len(meas)) / float64(len(kept)))
-	return &RobustResult{
-		Result: res,
-		Total:  len(meas),
-		Kept:   len(kept),
-		SigmaX: sx * widen,
-		SigmaY: sy * widen,
-	}, nil
+	span.Int("kept", int64(rr.Kept))
+	return rr, nil
 }

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -64,7 +65,7 @@ func TestLocalizeRobustBeatsNaiveUnderCorruption(t *testing.T) {
 	meas, traj, tagPos := robustScenario(45, 15, 32)
 	cfg := robustCfg(915e6)
 
-	rob, err := LocalizeRobust(meas, traj, cfg)
+	rob, err := LocalizeRobustCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLocalizeRobustBeatsNaiveUnderCorruption(t *testing.T) {
 
 	// The naive solve integrates the scrambled phases too; across seeds it
 	// is sometimes lucky, but it must never beat robust by a wide margin.
-	naive, err := Localize(meas, traj, cfg)
+	naive, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err == nil {
 		if naive.Location.Dist2D(tagPos) < robErr-0.25 {
 			t.Fatalf("naive (%.2f m) clearly beat robust (%.2f m)",
@@ -94,11 +95,11 @@ func TestLocalizeRobustWidensSigma(t *testing.T) {
 	dirtyMeas, _, _ := robustScenario(45, 15, 33)
 	cfg := robustCfg(915e6)
 
-	clean, err := LocalizeRobust(cleanMeas, traj, cfg)
+	clean, err := LocalizeRobustCtx(context.Background(), cleanMeas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := LocalizeRobust(dirtyMeas, traj, cfg)
+	dirty, err := LocalizeRobustCtx(context.Background(), dirtyMeas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestLocalizeRobustWidensSigma(t *testing.T) {
 	// The contract: reported σ is the kept-aperture Uncertainty times the
 	// sqrt(total/kept) rejection penalty.
 	kept, _ := RejectUnlocked(dirtyMeas)
-	raw, err := Localize(kept, traj, cfg)
+	raw, err := LocalizeCtx(context.Background(), kept, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestLocalizeRobustWidensSigma(t *testing.T) {
 
 func TestLocalizeRobustFailsWhenMostlyDark(t *testing.T) {
 	meas, traj, _ := robustScenario(20, 18, 34)
-	if _, err := LocalizeRobust(meas, traj, robustCfg(915e6)); err == nil {
+	if _, err := LocalizeRobustCtx(context.Background(), meas, traj, robustCfg(915e6)); err == nil {
 		t.Fatal("2 surviving measurements should not produce a solve")
 	}
 }
@@ -159,7 +160,7 @@ func TestPhaseOnlyRobustRejectsUnlocked(t *testing.T) {
 	meas, traj, tagPos := robustScenario(45, 15, 42)
 	cfg := robustCfg(915e6)
 	cfg.PhaseOnly = true
-	rob, err := LocalizeRobust(meas, traj, cfg)
+	rob, err := LocalizeRobustCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestPhaseOnlyRobustRejectsUnlocked(t *testing.T) {
 	}
 	// The rejection penalty must be present in σ: widened by sqrt(45/30).
 	kept, _ := RejectUnlocked(meas)
-	raw, err := Localize(kept, traj, cfg)
+	raw, err := LocalizeCtx(context.Background(), kept, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestPhaseOnlyRobustRejectsUnlocked(t *testing.T) {
 func TestLocalizeRobustCleanMatchesLocalize(t *testing.T) {
 	meas, traj, _ := robustScenario(45, 0, 35)
 	cfg := robustCfg(915e6)
-	rob, err := LocalizeRobust(meas, traj, cfg)
+	rob, err := LocalizeRobustCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Localize(meas, traj, cfg)
+	plain, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,18 @@ import (
 // estimate with error bars is available at any point mid-flight via
 // Snapshot.
 //
-// The finalize invariant, asserted by the equivalence tests: Snapshot over
-// a stream of measurements is bit-identical to the batch path
-// (LocalizeCtx, or LocalizeRobustCtx for a robust solver) over the same
+// It is the package's only coarse-grid kernel: the batch solves
+// (LocalizeCtx, LocalizeRobustCtx) build a solver over their search
+// rectangle, fold the whole aperture in one batch and finish through the
+// same finalize step as Snapshot. Snapshot over a stream of measurements
+// is therefore bit-identical to the batch solve over the same
 // measurements in the same order, with the trajectory built from their
-// positions. It holds because per-cell accumulation order equals arrival
-// order — exactly the order of projection()'s inner loop — and the row
-// striping of AddBatch never reorders additions within a cell. For the
-// same reason two separately accumulated grids must never be merged:
-// float addition is not associative across interleavings, so a restore
-// installs a serialized grid verbatim (Restore) rather than summing.
+// positions. It holds because per-cell accumulation order is arrival
+// order and the row striping of the fold never reorders additions
+// within a cell. For the same reason two separately accumulated grids
+// must never be merged: float addition is not associative across
+// interleavings, so a restore installs a serialized grid verbatim
+// (Restore) rather than summing.
 type StreamSolver struct {
 	cfg    Config
 	robust bool
@@ -69,6 +71,9 @@ func newStreamSolver(cfg Config, robust bool) (*StreamSolver, error) {
 	if cfg.CoarseRes <= 0 || cfg.FineRes <= 0 {
 		return nil, fmt.Errorf("loc: non-positive grid resolution")
 	}
+	// The coarse lattice is sized by the shared gridCount helper like every
+	// other grid in the package: Ceil-based sizing gained or lost a
+	// boundary row/column to float error on exact-multiple spans.
 	cols := gridCount(cfg.Region.X1-cfg.Region.X0, cfg.CoarseRes)
 	rows := gridCount(cfg.Region.Y1-cfg.Region.Y0, cfg.CoarseRes)
 	return &StreamSolver{
@@ -104,9 +109,18 @@ func (s *StreamSolver) AddBatch(ctx context.Context, meas []Measurement) {
 	defer span.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Filter exactly as the batch pipeline would: robust rejection first
-	// (LocalizeRobustCtx), then phase-only normalization (LocalizeCtx).
-	add := make([]Measurement, 0, len(meas))
+	add := s.admit(meas)
+	span.Int("batch", int64(len(meas))).Int("integrated", int64(len(add))).Int("total", int64(s.total))
+	s.fold(context.WithoutCancel(ctx), add)
+}
+
+// admit records a batch in the bookkeeping — every position joins the
+// aperture, robust rejection keeps unlocked captures out of the kept
+// list — and returns what the partial sums integrate: the batch's kept
+// captures, scaled to unit amplitude under PhaseOnly (zero-amplitude ones
+// dropped). The caller holds s.mu (or owns s outright).
+func (s *StreamSolver) admit(meas []Measurement) []Measurement {
+	start := len(s.kept)
 	for _, m := range meas {
 		s.total++
 		s.traj = append(s.traj, m.Pos)
@@ -114,34 +128,53 @@ func (s *StreamSolver) AddBatch(ctx context.Context, meas []Measurement) {
 			continue
 		}
 		s.kept = append(s.kept, m)
-		if s.cfg.PhaseOnly {
-			a := cmplx.Abs(m.H)
-			if a <= 0 {
-				continue
-			}
-			m.H = m.H / complex(a, 0)
-		}
-		add = append(add, m)
 	}
-	span.Int("batch", int64(len(meas))).Int("integrated", int64(len(add))).Int("total", int64(s.total))
+	if s.cfg.PhaseOnly {
+		return normalizeAmplitudes(s.kept[start:])
+	}
+	return s.kept[start:]
+}
+
+// fold accumulates Eq. 12 for add into the per-cell partial sums — the
+// coherent sum of each channel counter-rotated by the round-trip distance
+// to the cell center — with grid rows striped across cfg.Workers. Every
+// cell adds the batch in order, so the sums are the same bits for any
+// worker count or batch chopping. ctx is checked once per row; a
+// cancelled fold returns ctx's error with the grid partially integrated.
+// The caller holds s.mu (or owns s outright).
+func (s *StreamSolver) fold(ctx context.Context, add []Measurement) error {
 	if len(add) == 0 {
-		return
+		return ctx.Err()
 	}
-	stripeRows(context.WithoutCancel(ctx), s.rows, s.cfg.Workers, func(r int) {
-		base := r * s.cols
-		y := s.y0 + (float64(r)+0.5)*s.res
-		for c := 0; c < s.cols; c++ {
-			x := s.x0 + (float64(c)+0.5)*s.res
-			acc := s.sum[base+c]
+	// The loop invariants live in locals: read through s on every cell
+	// they measurably slow the kernel.
+	sum, cols := s.sum, s.cols
+	x0, y0, res, k := s.x0, s.y0, s.res, s.k
+	return stripeRows(ctx, s.rows, s.cfg.Workers, func(r int) {
+		row := sum[r*cols : (r+1)*cols]
+		y := y0 + (float64(r)+0.5)*res
+		for c := range row {
+			x := x0 + (float64(c)+0.5)*res
+			acc := row[c]
 			for _, m := range add {
 				dx, dy, dz := x-m.Pos.X, y-m.Pos.Y, -m.Pos.Z
 				d := math.Sqrt(dx*dx + dy*dy + dz*dz)
-				sn, cs := math.Sincos(s.k * d)
+				sn, cs := math.Sincos(k * d)
 				acc += m.H * complex(cs, sn)
 			}
-			s.sum[base+c] = acc
+			row[c] = acc
 		}
 	})
+}
+
+// heatmap materializes |partial sum| per cell as the coarse P(x, y) grid.
+// The caller holds s.mu (or owns s outright).
+func (s *StreamSolver) heatmap() *stats.Heatmap {
+	hm := stats.NewHeatmap(s.x0, s.y0, s.res, s.res, s.cols, s.rows)
+	for i, z := range s.sum {
+		hm.Data[i] = cmplx.Abs(z)
+	}
+	return hm
 }
 
 // Total returns how many measurements have been added (including any a
@@ -171,9 +204,9 @@ func (s *StreamSolver) Grid() (x0, y0, res float64, cols, rows int, sum []comple
 // Restore installs a previously serialized accumulator: the grid is taken
 // verbatim (never re-summed — float addition is not associative across
 // interleavings) and the bookkeeping (trajectory, kept list, counts) is
-// rebuilt by replaying the measurement history through the same filters
-// Add applies. history must be the full, ordered list of measurements the
-// serialized grid was accumulated from.
+// rebuilt by replaying the measurement history through admit, the same
+// filter Add applies. history must be the full, ordered list of
+// measurements the serialized grid was accumulated from.
 func (s *StreamSolver) Restore(sum []complex128, history []Measurement) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,25 +217,14 @@ func (s *StreamSolver) Restore(sum []complex128, history []Measurement) error {
 	s.traj = s.traj[:0]
 	s.kept = s.kept[:0]
 	s.total = 0
-	for _, m := range history {
-		s.total++
-		s.traj = append(s.traj, m.Pos)
-		if s.robust && m.Unlocked {
-			continue
-		}
-		s.kept = append(s.kept, m)
-	}
+	s.admit(history)
 	return nil
 }
 
 // Snapshot finalizes the current stream without consuming it: the partial
-// sums become a heatmap (one |·| per cell), peak extraction and fine
-// refinement run exactly as in the batch path, and the σ error bars come
-// from Uncertainty — widened by sqrt(total/kept) for a robust solver, a
-// no-op factor of 1 otherwise. Later Adds keep accumulating; the returned
-// Result (heatmap included) is a detached copy. The multires knobs are
-// ignored here: the coarse grid is already materialized, so there is
-// nothing for a coarse-to-fine pass to save.
+// sums become a heatmap (one |·| per cell) and go through the same
+// finalize step as the batch solves. Later Adds keep accumulating; the
+// returned Result (heatmap included) is a detached copy.
 func (s *StreamSolver) Snapshot(ctx context.Context) (*RobustResult, error) {
 	ctx, span := obs.StartSpan(ctx, "loc.stream.snapshot")
 	defer span.End()
@@ -210,17 +232,29 @@ func (s *StreamSolver) Snapshot(ctx context.Context) (*RobustResult, error) {
 	total := s.total
 	kept := append([]Measurement(nil), s.kept...)
 	traj := geom.Trajectory{Points: append([]geom.Point(nil), s.traj...)}
-	hm := stats.NewHeatmap(s.x0, s.y0, s.res, s.res, s.cols, s.rows)
-	for i, z := range s.sum {
-		hm.Data[i] = cmplx.Abs(z)
-	}
+	hm := s.heatmap()
 	s.mu.Unlock()
 	span.Int("total", int64(total)).Int("kept", int64(len(kept)))
+	return s.finalize(ctx, hm, kept, total, traj)
+}
+
+// finalize is the shared tail of every 2D solve, batch and streaming:
+// the aperture checks, peak extraction over the coarse heatmap,
+// refineAndPick, and the σ error bars from Uncertainty — widened by
+// sqrt(total/kept) for a robust solver, a no-op factor of 1 otherwise.
+// traj is the flight the §5.2 rule measures candidates against.
+func (s *StreamSolver) finalize(ctx context.Context, hm *stats.Heatmap, kept []Measurement, total int, traj geom.Trajectory) (*RobustResult, error) {
 	if s.robust && len(kept) < 3 {
 		return nil, fmt.Errorf("loc: only %d/%d measurements survived lock rejection", len(kept), total)
 	}
 	if len(kept) < 3 {
 		return nil, fmt.Errorf("loc: need at least 3 measurements, have %d", len(kept))
+	}
+	// An aperture with no channel energy (every H zero) leaves a flat
+	// zero grid whose "peak" is an arbitrary corner cell: fail rather
+	// than report it as a location.
+	if _, _, global := hm.Peak(); global <= 0 {
+		return nil, fmt.Errorf("loc: empty projection (no channel energy in %d measurements)", len(kept))
 	}
 	meas := kept
 	if s.cfg.PhaseOnly {
@@ -228,14 +262,12 @@ func (s *StreamSolver) Snapshot(ctx context.Context) (*RobustResult, error) {
 	}
 	peaks := localMaxima(hm, s.cfg.PeakThreshold, s.cfg.MaxCandidates,
 		suppressRadiusCells(s.cfg.Freq, s.cfg.CoarseRes))
-	span.Int("peaks", int64(len(peaks)))
 	res, err := refineAndPick(ctx, meas, traj, s.cfg, hm, peaks)
 	if err != nil {
 		return nil, err
 	}
-	// Uncertainty gets the pre-normalization kept list, exactly as
-	// LocalizeRobustCtx passes it (it re-normalizes internally under
-	// PhaseOnly), so the σ bits match the batch path.
+	// Uncertainty gets the pre-normalization kept list (it re-normalizes
+	// internally under PhaseOnly).
 	sx, sy := Uncertainty(kept, res, s.cfg)
 	widen := math.Sqrt(float64(total) / float64(len(kept)))
 	return &RobustResult{

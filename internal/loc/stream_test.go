@@ -311,3 +311,38 @@ func TestStreamConcurrentAddBatch(t *testing.T) {
 		t.Fatalf("concurrent-fed solve off by %v m", e)
 	}
 }
+
+// TestZeroChannelApertureFails: an aperture whose every channel is zero —
+// PhaseOnly dropping every point, or a capture log of H=0 records — has
+// no matched-filter energy anywhere, so the flat grid's "peak" is an
+// arbitrary corner cell. Batch, plain-stream and robust-stream solves
+// must all fail rather than report it.
+func TestZeroChannelApertureFails(t *testing.T) {
+	ctx := context.Background()
+	traj := geom.Line(geom.P2(0, 0.3), geom.P2(3, 0.3), 8)
+	meas := make([]Measurement, len(traj.Points))
+	for i, p := range traj.Points {
+		meas[i] = Measurement{Pos: p}
+	}
+	for _, phaseOnly := range []bool{false, true} {
+		cfg := regionAbove(f900)
+		cfg.PhaseOnly = phaseOnly
+		if res, err := LocalizeCtx(ctx, meas, traj, cfg); err == nil {
+			t.Fatalf("phase-only=%v: batch solve of a zero aperture returned %+v", phaseOnly, res.Location)
+		}
+		if res, err := LocalizeRobustCtx(ctx, meas, traj, cfg); err == nil {
+			t.Fatalf("phase-only=%v: robust solve of a zero aperture returned %+v", phaseOnly, res.Location)
+		}
+		for _, robust := range []bool{false, true} {
+			s, err := newStreamSolver(cfg, robust)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.AddBatch(ctx, meas)
+			if res, err := s.Snapshot(ctx); err == nil {
+				t.Fatalf("phase-only=%v robust=%v: stream snapshot of a zero aperture returned %+v",
+					phaseOnly, robust, res.Location)
+			}
+		}
+	}
+}

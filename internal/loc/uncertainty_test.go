@@ -15,7 +15,7 @@ func TestUncertaintyDegeneratePaths(t *testing.T) {
 	cfg := regionAbove(f900)
 	traj := geom.Line(geom.P2(0, 0.3), geom.P2(3, 0.3), 40)
 	meas := synthChannels(traj, geom.P2(1.5, 2.0), f900, nil, 0, 0, nil)
-	res, err := Localize(meas, traj, cfg)
+	res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestUncertaintySharperLobeSmallerSigma(t *testing.T) {
 	for _, aperture := range []float64{0.8, 3.0} {
 		traj := geom.Line(geom.P2(1.5-aperture/2, 0.3), geom.P2(1.5+aperture/2, 0.3), 30)
 		meas := synthChannels(traj, tagPos, f900, nil, 0, 0, nil)
-		res, err := Localize(meas, traj, cfg)
+		res, err := LocalizeCtx(context.Background(), meas, traj, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

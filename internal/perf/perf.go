@@ -93,7 +93,7 @@ func testbed() ([]loc.Measurement, geom.Trajectory, error) {
 	tg := d.AddTag(epc.NewEPC96(7, 7, 7, 7, 7, 7), geom.P(1.5, 2.0, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), rng.New(99).Split("f"))
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		return nil, geom.Trajectory{}, err
 	}
@@ -116,12 +116,12 @@ func CheckParallelEquivalence() error {
 	}
 	cfg := gridConfig()
 	cfg.Workers = 1
-	serial, err := loc.Localize(meas, traj, cfg)
+	serial, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		return err
 	}
 	cfg.Workers = 0
-	par, err := loc.Localize(meas, traj, cfg)
+	par, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		return err
 	}
@@ -139,12 +139,12 @@ func CheckParallelEquivalence() error {
 }
 
 // CheckStreamEquivalence asserts the streaming accumulator's finalize is
-// bit-identical to the batch grid search on the testbed aperture —
-// location, peak, and every heatmap cell — for every worker count and
-// regardless of how the capture stream is chopped into batches. The
-// batch boundaries exercise the invariant the checkpoint codec leans on:
-// per-cell accumulation order is arrival order, so chopping never moves
-// a bit.
+// bit-identical to the serial batch solve (the same fold, one batch, one
+// worker) on the testbed aperture — location, peak, and every heatmap
+// cell — for every worker count and regardless of how the capture stream
+// is chopped into batches. The batch boundaries exercise the invariant
+// the checkpoint codec leans on: per-cell accumulation order is arrival
+// order, so chopping never moves a bit.
 func CheckStreamEquivalence() error {
 	meas, traj, err := testbed()
 	if err != nil {
@@ -152,7 +152,7 @@ func CheckStreamEquivalence() error {
 	}
 	cfg := gridConfig()
 	cfg.Workers = 1
-	batch, err := loc.Localize(meas, traj, cfg)
+	batch, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		return err
 	}
@@ -185,35 +185,6 @@ func CheckStreamEquivalence() error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// CheckMultiResEquivalence asserts the coarse-to-fine scan lands on the
-// same refined answer as the exhaustive grid on the testbed aperture.
-// The heatmaps differ by design (multires leaves unvisited cells zero),
-// so the gate is the final location and peak, which both paths reach
-// through the shared refineAndPick tail.
-func CheckMultiResEquivalence() error {
-	meas, traj, err := testbed()
-	if err != nil {
-		return err
-	}
-	cfg := gridConfig()
-	cfg.Workers = 1
-	exhaustive, err := loc.Localize(meas, traj, cfg)
-	if err != nil {
-		return err
-	}
-	mcfg := cfg
-	mcfg.MultiRes = true
-	mr, err := loc.Localize(meas, traj, mcfg)
-	if err != nil {
-		return err
-	}
-	if mr.Location != exhaustive.Location || mr.Peak != exhaustive.Peak {
-		return fmt.Errorf("perf: multires location %+v peak %v != exhaustive %+v peak %v",
-			mr.Location, mr.Peak, exhaustive.Location, exhaustive.Peak)
 	}
 	return nil
 }
@@ -259,9 +230,6 @@ func Run(short bool) (*Report, error) {
 		return nil, err
 	}
 	if err := CheckStreamEquivalence(); err != nil {
-		return nil, err
-	}
-	if err := CheckMultiResEquivalence(); err != nil {
 		return nil, err
 	}
 	if err := CheckReplayEquivalence(); err != nil {
@@ -327,7 +295,7 @@ func Run(short bool) (*Report, error) {
 	cfg.Workers = 1
 	serial := bench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := loc.Localize(meas, traj, cfg); err != nil {
+			if _, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -336,7 +304,7 @@ func Run(short bool) (*Report, error) {
 	pcfg.Workers = 0
 	parallel := bench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := loc.Localize(meas, traj, pcfg); err != nil {
+			if _, err := loc.LocalizeCtx(context.Background(), meas, traj, pcfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -352,7 +320,7 @@ func Run(short bool) (*Report, error) {
 		wcfg.Workers = workers
 		wres := bench(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := loc.Localize(meas, traj, wcfg); err != nil {
+				if _, err := loc.LocalizeCtx(context.Background(), meas, traj, wcfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -364,24 +332,6 @@ func Run(short bool) (*Report, error) {
 		wr.Note = "vs grid_serial_fig6; workers beyond GOMAXPROCS only queue"
 		report.Results = append(report.Results, wr)
 	}
-
-	// Coarse-to-fine scan: the super-grid pass plus top-K basin fill,
-	// same final argmax as the exhaustive grid (gated above).
-	mcfg := cfg
-	mcfg.MultiRes = true
-	multires := bench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := loc.Localize(meas, traj, mcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	mr := row("grid_multires_fig6", multires)
-	if mr.NsPerOp > 0 {
-		mr.SpeedupVsDirect = serialNs / mr.NsPerOp
-	}
-	mr.Note = "4x super-grid coarse pass + top-K basin fill vs the exhaustive serial scan, same refined argmax"
-	report.Results = append(report.Results, mr)
 
 	// Streaming accumulator: the amortized cost of folding one capture
 	// into the per-cell partial sums (grid allocation included), and the

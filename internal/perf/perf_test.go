@@ -27,12 +27,6 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 }
 
-func TestMultiResEquivalence(t *testing.T) {
-	if err := CheckMultiResEquivalence(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplayEquivalence(t *testing.T) {
 	if err := CheckReplayEquivalence(); err != nil {
 		t.Fatal(err)
@@ -113,7 +107,7 @@ func BenchmarkGridSearch(b *testing.B) {
 		cfg := cfg
 		b.Run(name("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := loc.Localize(meas, traj, cfg); err != nil {
+				if _, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,30 +142,6 @@ func BenchmarkStream(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkMultiRes(b *testing.B) {
-	meas, traj, err := testbed()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gridConfig()
-	cfg.Workers = 1
-	for _, multires := range []bool{false, true} {
-		cfg.MultiRes = multires
-		cfg := cfg
-		label := "exhaustive"
-		if multires {
-			label = "coarse_to_fine"
-		}
-		b.Run(label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := loc.Localize(meas, traj, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func name(prefix string, v int) string {

@@ -243,7 +243,7 @@ func TestRestoreV3Compat(t *testing.T) {
 	if err := r.RunSorties(context.Background(), cfg.Sorties-2); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.Result().CSV(), live.Result().CSV(); got != want {
+	if got, want := r.ResultCtx(context.Background()).CSV(), live.ResultCtx(context.Background()).CSV(); got != want {
 		t.Fatalf("v3-resumed mission diverged:\n%s\nvs live:\n%s", got, want)
 	}
 }

@@ -77,7 +77,7 @@ func TestPlannedMissionDeterminismAndResume(t *testing.T) {
 	if err := r.RunSorties(context.Background(), cfg.Sorties-1); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.Result().CSV(), live.Result().CSV(); got != want {
+	if got, want := r.ResultCtx(context.Background()).CSV(), live.ResultCtx(context.Background()).CSV(); got != want {
 		t.Fatalf("planned resume diverged:\n%s\nvs live:\n%s", got, want)
 	}
 }

@@ -935,7 +935,7 @@ func (e *Engine) sarPass(ctx context.Context, d *sim.Deployment, tg *tag.Tag, so
 	if err != nil {
 		return nil, err
 	}
-	return d.CollectSARStreamCtx(ctx, flight, tg, nil, sink)
+	return d.CollectSARCtx(ctx, flight, tg, nil, sink)
 }
 
 // sarFlight plans and flies the sortie's aperture line (a ±1 m pass
@@ -983,44 +983,18 @@ func (e *Engine) Run(ctx context.Context) (MissionResult, error) {
 	return res, err
 }
 
-// Result assembles the mission result from the committed sorties,
-// running the end-of-mission localization when the SAR buffer supports
-// one.
-func (e *Engine) Result() MissionResult {
-	return e.ResultCtx(context.Background())
-}
-
-// ResultCtx is Result with the deadline threaded into the SAR grid
-// search — the mission's single heaviest compute step, now striped
-// across the worker pool (loc.Config.Workers semantics). A localization
-// abandoned by ctx leaves LocOK false; the committed sortie rows are
+// ResultCtx assembles the mission result from the committed sorties and
+// finalizes the streaming SAR solve when the mission flew one. The grid
+// already integrates every committed capture, so the end-of-mission solve
+// is argmax + refinement — the per-measurement projection cost was paid
+// sortie by sortie. A localization abandoned by ctx, or one the aperture
+// cannot support, leaves LocOK false; the committed sortie rows are
 // assembled regardless, because they are bookkeeping, not compute.
 func (e *Engine) ResultCtx(ctx context.Context) MissionResult {
 	res := MissionResult{Sorties: append([]SortieResult(nil), e.results...)}
-	switch {
-	case e.solver != nil && len(e.cfg.Tags) > 0:
-		// Streaming path: the grid already integrates every committed
-		// capture, so the end-of-mission solve is argmax + refinement —
-		// the per-measurement projection cost was paid sortie by sortie.
+	if e.solver != nil && len(e.cfg.Tags) > 0 {
 		obs.Labeled(ctx, func(ctx context.Context) {
 			if lr, err := e.solver.Snapshot(ctx); err == nil {
-				res.LocX, res.LocY = lr.Location.X, lr.Location.Y
-				res.LocOK = true
-			}
-		}, "rfly_stage", "sar-solve")
-	case len(e.sar) >= 3 && len(e.cfg.Tags) > 0:
-		// Legacy batch path, kept for engines restored without an
-		// accumulator (none exist today — SAR missions always build one —
-		// but the fallback keeps Result total for hand-built states).
-		traj := geom.Trajectory{}
-		for _, m := range e.sar {
-			traj.Points = append(traj.Points, m.Pos)
-		}
-		lcfg := loc.DefaultConfig(e.cfg.ChannelHz)
-		x0, y0, x1, _ := traj.Bounds()
-		lcfg.Region = &loc.Region{X0: x0 - 4, Y0: y0 - 4, X1: x1 + 4, Y1: y0 + 6}
-		obs.Labeled(ctx, func(ctx context.Context) {
-			if lr, err := loc.LocalizeRobustCtx(ctx, e.sar, traj, lcfg); err == nil {
 				res.LocX, res.LocY = lr.Location.X, lr.Location.Y
 				res.LocOK = true
 			}

@@ -157,7 +157,7 @@ func TestSwarmCheckpointResume(t *testing.T) {
 	if _, err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := ref.Result().CSV()
+	want := ref.ResultCtx(context.Background()).CSV()
 
 	e, err := New(cfg)
 	if err != nil {
@@ -179,7 +179,7 @@ func TestSwarmCheckpointResume(t *testing.T) {
 	if _, err := re.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Result().CSV(); got != want {
+	if got := re.ResultCtx(context.Background()).CSV(); got != want {
 		t.Fatalf("resumed swarm mission diverged:\n%s\nvs\n%s", got, want)
 	}
 }

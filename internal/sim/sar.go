@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"rfly/internal/drone"
 	"rfly/internal/geom"
@@ -27,44 +26,32 @@ type SARCapture struct {
 	MeanSNRdB float64
 }
 
-// CollectSAR flies the relay along a flight and captures the target tag's
-// and the embedded tag's channels at every tracked point, then
+// CollectSARCtx flies the relay along a flight and captures the target
+// tag's and the embedded tag's channels at every tracked point, then
 // disentangles the half-links (Eq. 10). Points where the tag is unpowered
 // or the capture fails to decode are skipped, as they would be in a real
 // flight.
-func (d *Deployment) CollectSAR(f drone.Flight, target *tag.Tag) (*SARCapture, error) {
-	return d.CollectSARSteps(f, target, nil)
-}
-
-// CollectSARSteps is CollectSAR with a per-point hook: onPoint(i) runs
-// after the relay moves to flight point i but before that point's capture.
-// The fault experiments use it to advance an injector/watchdog timeline in
-// lockstep with the flight (a gust or LO drift then perturbs exactly the
-// mid-aperture captures it should). A nil hook degenerates to CollectSAR.
-func (d *Deployment) CollectSARSteps(f drone.Flight, target *tag.Tag, onPoint func(i int)) (*SARCapture, error) {
-	return d.CollectSARStepsCtx(context.Background(), f, target, onPoint)
-}
-
-// CollectSARStepsCtx is CollectSARSteps under a deadline: the flight is
-// abandoned between aperture points when ctx expires, because a drone that
-// has run out its mission clock must head home rather than keep capturing.
-// A cancelled flight returns ctx's error — never a partial capture, since
-// a truncated aperture would localize with silently degraded accuracy.
-func (d *Deployment) CollectSARStepsCtx(ctx context.Context, f drone.Flight, target *tag.Tag, onPoint func(i int)) (*SARCapture, error) {
-	return d.CollectSARStreamCtx(ctx, f, target, onPoint, nil)
-}
-
-// CollectSARStreamCtx is CollectSARStepsCtx with a live measurement sink:
-// every usable point is disentangled the moment it is captured and handed
-// to sink before the relay moves on. The disentangle divide (Eq. 10) is
-// element-wise, so the per-point stream carries exactly the values the
-// batch pass computes — a streaming localizer fed through sink finalizes
-// bit-identically to one handed the returned capture whole. A nil sink
-// degenerates to CollectSARStepsCtx. On a cancelled flight measurements
-// already sunk stay sunk; callers that must not observe a partial
-// aperture stage the stream and commit it only on a nil error, exactly
-// as they would the returned capture.
-func (d *Deployment) CollectSARStreamCtx(ctx context.Context, f drone.Flight, target *tag.Tag, onPoint func(i int), sink func(loc.Measurement)) (*SARCapture, error) {
+//
+// onPoint, when non-nil, runs after the relay moves to flight point i but
+// before that point's capture: the fault experiments use it to advance an
+// injector/watchdog timeline in lockstep with the flight (a gust or LO
+// drift then perturbs exactly the mid-aperture captures it should).
+//
+// sink, when non-nil, receives every usable point's disentangled
+// measurement the moment it is captured, before the relay moves on. The
+// disentangle divide is per point, so the stream carries exactly the
+// values of the returned capture — a streaming localizer fed through sink
+// finalizes bit-identically to one handed the capture whole. On a
+// cancelled flight measurements already sunk stay sunk; callers that must
+// not observe a partial aperture stage the stream and commit it only on a
+// nil error, exactly as they would the returned capture.
+//
+// The flight is abandoned between aperture points when ctx expires,
+// because a drone that has run out its mission clock must head home
+// rather than keep capturing. A cancelled flight returns ctx's error —
+// never a partial capture, since a truncated aperture would localize with
+// silently degraded accuracy.
+func (d *Deployment) CollectSARCtx(ctx context.Context, f drone.Flight, target *tag.Tag, onPoint func(i int), sink func(loc.Measurement)) (*SARCapture, error) {
 	if d.Relay == nil {
 		return nil, fmt.Errorf("sim: SAR collection requires a relay")
 	}
@@ -90,7 +77,7 @@ func (d *Deployment) CollectSARStreamCtx(ctx context.Context, f drone.Flight, ta
 		}
 		cap.Target = append(cap.Target, mT)
 		cap.Embedded = append(cap.Embedded, mE)
-		m := disentangleOne(mT, mE)
+		m := loc.Disentangle(mT, mE)
 		cap.Disentangled = append(cap.Disentangled, m)
 		if sink != nil {
 			sink(m)
@@ -104,18 +91,6 @@ func (d *Deployment) CollectSARStreamCtx(ctx context.Context, f drone.Flight, ta
 	return cap, nil
 }
 
-// disentangleOne divides one target capture by its paired embedded-tag
-// reference — the per-element body of loc.Disentangle, including its
-// dead-reference guard, so a point-at-a-time stream and the batch pass
-// produce identical bits.
-func disentangleOne(mT, mE loc.Measurement) loc.Measurement {
-	var h complex128
-	if cmplx.Abs(mE.H) >= 1e-15 {
-		h = mT.H / mE.H
-	}
-	return loc.Measurement{Pos: mT.Pos, H: h, Unlocked: mT.Unlocked}
-}
-
 // CaptureSARPoint attempts one synthetic-aperture capture of target at
 // the relay's CURRENT position, pairing it with the embedded tag's
 // reference capture. measuredPos is the OptiTrack measurement of the
@@ -123,7 +98,7 @@ func disentangleOne(mT, mE loc.Measurement) loc.Measurement {
 // point contributes nothing — the tag is unpowered, the relay unstable,
 // or the decode fails — exactly the drop-out cases a real flight skips.
 // The draw order is load-bearing: it is the same sequence
-// CollectSARStepsCtx has always made, so the two capture paths (the
+// CollectSARCtx has always made, so the two capture paths (the
 // end-of-sortie pass and the swarm engine's in-loop aperture ticks)
 // produce bit-identical streams.
 func (d *Deployment) CaptureSARPoint(target *tag.Tag, measuredPos geom.Point) (loc.Measurement, loc.Measurement, float64, bool) {
@@ -151,7 +126,7 @@ func (d *Deployment) CaptureSARPoint(target *tag.Tag, measuredPos geom.Point) (l
 	}
 	// The localizer sees the OptiTrack-measured position. Captures
 	// taken under a degraded carrier lock (residual CFO) carry no
-	// usable phase; tag them so LocalizeRobust can reject them.
+	// usable phase; tag them so LocalizeRobustCtx can reject them.
 	unlocked := d.Relay.CFOHz() != 0 || !d.RelayLockHealthy()
 	mT := loc.Measurement{Pos: measuredPos, H: hT, Unlocked: unlocked}
 	mE := loc.Measurement{Pos: measuredPos, H: hE, Unlocked: unlocked}
@@ -159,32 +134,17 @@ func (d *Deployment) CaptureSARPoint(target *tag.Tag, measuredPos geom.Point) (l
 }
 
 // DisentangleCapture divides per-point target captures by their paired
-// embedded-tag references (Eq. 10) and returns the disentangled
-// measurements the localizer consumes. Both slices must be point-aligned.
+// embedded-tag references (Eq. 10, loc.Disentangle) and returns the
+// disentangled measurements the localizer consumes. Both slices must be
+// point-aligned and non-empty.
 func DisentangleCapture(target, embedded []loc.Measurement) ([]loc.Measurement, error) {
 	if len(target) == 0 || len(target) != len(embedded) {
 		return nil, fmt.Errorf("sim: disentangle needs aligned captures (got %d target, %d embedded)",
 			len(target), len(embedded))
 	}
-	tgt := signal.GetIQ(len(target))
-	ref := signal.GetIQ(len(embedded))
+	out := make([]loc.Measurement, len(target))
 	for i := range target {
-		tgt[i] = target[i].H
-		ref[i] = embedded[i].H
-	}
-	dis, err := loc.Disentangle(tgt, ref)
-	signal.PutIQ(tgt)
-	signal.PutIQ(ref)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]loc.Measurement, len(dis))
-	for i := range dis {
-		out[i] = loc.Measurement{
-			Pos:      target[i].Pos,
-			H:        dis[i],
-			Unlocked: target[i].Unlocked,
-		}
+		out[i] = loc.Disentangle(target[i], embedded[i])
 	}
 	return out, nil
 }

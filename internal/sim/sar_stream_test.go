@@ -31,7 +31,7 @@ func TestCollectSARStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := d.CollectSARStreamCtx(context.Background(), flight, tg, nil,
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil,
 		func(m loc.Measurement) { solver.Add(m) })
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +64,9 @@ func TestCollectSARStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestDisentangleOneMatchesBatch pins the element-wise equivalence the
-// streaming path rests on, including the dead-reference guard.
+// TestDisentangleOneMatchesBatch pins the per-point equivalence the
+// streaming path rests on: the batch divide is loc.Disentangle point by
+// point, dead-reference guard and lock provenance included.
 func TestDisentangleOneMatchesBatch(t *testing.T) {
 	target := []loc.Measurement{
 		{Pos: geom.P2(0, 0), H: complex(2, 1)},
@@ -82,9 +83,9 @@ func TestDisentangleOneMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range target {
-		one := disentangleOne(target[i], embedded[i])
+		one := loc.Disentangle(target[i], embedded[i])
 		if one != batch[i] {
-			t.Fatalf("point %d: disentangleOne %+v != batch %+v", i, one, batch[i])
+			t.Fatalf("point %d: loc.Disentangle %+v != batch %+v", i, one, batch[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -178,7 +179,7 @@ func TestCollectSARAndLocalize(t *testing.T) {
 
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), d.src.Split("flight"))
-	cap, err := d.CollectSAR(flight, tg)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCollectSARAndLocalize(t *testing.T) {
 	}
 	cfg := loc.DefaultConfig(d.Model.Freq)
 	cfg.Region = &loc.Region{X0: -2, Y0: 0.3, X1: 5, Y1: 5}
-	res, err := loc.Localize(cap.Disentangled, flight.MeasuredTrajectory(), cfg)
+	res, err := loc.LocalizeCtx(context.Background(), cap.Disentangled, flight.MeasuredTrajectory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestCollectSARRequiresRelay(t *testing.T) {
 	tg := d.AddTag(epc.NewEPC96(10, 0, 0, 0, 0, 0), geom.P2(2, 0))
 	plan := geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5)
 	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), d.src)
-	if _, err := d.CollectSAR(flight, tg); err == nil {
+	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil); err == nil {
 		t.Fatal("SAR without a relay accepted")
 	}
 }

@@ -8,6 +8,7 @@ package sim
 // phases survive the PIE→relay→FM0→decode pipeline, this localizes.
 
 import (
+	"context"
 	"testing"
 
 	"rfly/internal/epc"
@@ -70,7 +71,7 @@ func TestWaveformSARLocalization(t *testing.T) {
 	}
 	cfg := loc.DefaultConfig(m.Relay.Cfg.CenterFreq)
 	cfg.Region = &loc.Region{X0: -2, Y0: 0.3, X1: 5, Y1: 5}
-	res, err := loc.Localize(meas, traj, cfg)
+	res, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rfly
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -148,7 +149,7 @@ func (s *System) Survey(plan Trajectory, opts SurveyOptions) (*SurveyReport, err
 		if opts.SearchRegion != nil {
 			cfg.Region = opts.SearchRegion
 		}
-		res, err := loc.Localize(meas, traj, cfg)
+		res, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
 		if err != nil {
 			report.DetectedOnly = append(report.DetectedOnly, item)
 			continue
