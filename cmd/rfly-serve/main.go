@@ -124,7 +124,7 @@ func main() {
 			os.Exit(1)
 		}
 		for i := 0; i < cfg.Shards; i++ {
-			ckpt := sched.Lessor().Checkpoint(i)
+			ckpt := sched.ShardCheckpoint(i)
 			if ckpt == nil {
 				continue // shard never flew a mission
 			}

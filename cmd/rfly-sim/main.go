@@ -252,6 +252,7 @@ func faultDemo(build func() *rfly.System, sceneName string, seed uint64, aisle f
 		fmt.Printf("  %v\n", ev)
 	}
 
+	ctx := context.Background() // never ends, so the Ctx calls below cannot fail
 	run := func(recover bool) (reads int) {
 		sys := build()
 		d := sys.Deployment()
@@ -271,7 +272,7 @@ func faultDemo(build func() *rfly.System, sceneName string, seed uint64, aisle f
 			d.MoveRelay(pt)
 			inj.Step()
 			if recover {
-				wd.Tick(d)
+				wd.TickCtx(ctx, d)
 				if !d.RelayPowered() {
 					sagTicks++
 					if sagTicks >= 5 {
@@ -297,7 +298,7 @@ func faultDemo(build func() *rfly.System, sceneName string, seed uint64, aisle f
 				continue
 			}
 			if recover {
-				if d.ReadAttemptRetry(d.Tags[nearest], pol, nil) {
+				if ok, _ := d.ReadAttemptRetryCtx(ctx, d.Tags[nearest], pol, nil); ok {
 					reads++
 				}
 			} else if d.ReadAttempt(d.Tags[nearest]) {

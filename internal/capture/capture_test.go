@@ -146,7 +146,7 @@ func TestResumeContinuesSequence(t *testing.T) {
 	l.AppendSegmentCtx(ctx, 1, synthRecords(6, 1, tag))
 	snap := l.Snapshot()
 
-	l2, err := Resume(snap)
+	l2, _, err := Resume(snap)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestResumeContinuesSequence(t *testing.T) {
 	}
 
 	snap[len(snap)-1] ^= 0x40
-	if _, err := Resume(snap); !errors.Is(err, ErrInvalidLog) {
+	if _, _, err := Resume(snap); !errors.Is(err, ErrInvalidLog) {
 		t.Fatalf("Resume on corrupt bytes = %v, want ErrInvalidLog", err)
 	}
 }

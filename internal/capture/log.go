@@ -29,19 +29,23 @@ func NewLog(h Header) *Log {
 }
 
 // Resume reopens a serialized log for further appends — the checkpoint
-// restore path. The bytes are validated end to end first; the writer
-// continues the sequence and sortie counters where the log left off.
-func Resume(data []byte) (*Log, error) {
-	r, err := OpenLog(data)
+// restore path. The bytes are copied once and the copy validated end to
+// end; the writer continues the sequence and sortie counters where the
+// log left off. The returned Reader views the copy as it stood at
+// Resume, so the caller can cross-check the segments without opening the
+// log a second time.
+func Resume(data []byte) (*Log, *Reader, error) {
+	buf := append([]byte(nil), data...)
+	r, err := OpenLog(buf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return &Log{
-		buf:  append([]byte(nil), data...),
+		buf:  buf,
 		seq:  r.Records(),
 		segs: r.NumSegments(),
 		last: r.LastSortie(),
-	}, nil
+	}, r, nil
 }
 
 // AppendSegmentCtx seals the records as one segment committed at the

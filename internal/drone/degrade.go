@@ -40,7 +40,7 @@ func (s BatterySag) Validate(pl Plan) error {
 	return nil
 }
 
-// DegradedPlan is ExecuteWithSag's outcome: the original plan plus the
+// DegradedPlan is ExecuteWithSagCtx's outcome: the original plan plus the
 // cost of every battery fault it absorbed.
 type DegradedPlan struct {
 	Plan
@@ -57,8 +57,8 @@ type DegradedPlan struct {
 	Delay time.Duration
 }
 
-// ExecuteWithSag replays the coverage plan against a set of battery sags
-// and returns the degraded outcome. The policy per sag:
+// ExecuteWithSagCtx replays the coverage plan against a set of battery
+// sags and returns the degraded outcome. The policy per sag:
 //
 //  1. Detect: the sagged pack's remaining capacity is re-estimated at the
 //     moment of the sag (telemetry watching cell voltage).
@@ -71,15 +71,11 @@ type DegradedPlan struct {
 // Multiple sags targeting the same sortie collapse to the worst one.
 // The mission never silently drops coverage: the returned plan's airtime
 // covers the full original path length.
-func (pl Plan) ExecuteWithSag(e Endurance, sags ...BatterySag) (DegradedPlan, error) {
-	return pl.ExecuteWithSagCtx(context.Background(), e, sags...)
-}
-
-// ExecuteWithSagCtx is ExecuteWithSag under a deadline, checked once per
-// replayed sortie: replanning a long mission against many sags walks an
-// unbounded sortie sequence (each sag stretches the tail), and a
-// supervisor that is itself on a clock must be able to abandon the
-// replay rather than finish it late.
+//
+// ctx is checked once per replayed sortie: replanning a long mission
+// against many sags walks an unbounded sortie sequence (each sag
+// stretches the tail), and a supervisor that is itself on a clock must be
+// able to abandon the replay rather than finish it late.
 func (pl Plan) ExecuteWithSagCtx(ctx context.Context, e Endurance, sags ...BatterySag) (DegradedPlan, error) {
 	out := DegradedPlan{Plan: pl}
 	if pl.Sorties < 1 || e.FlightTime <= 0 {

@@ -1,6 +1,7 @@
 package drone
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func degradePlan(t *testing.T) (Plan, Endurance) {
 
 func TestExecuteWithSagNoFaultIsNominal(t *testing.T) {
 	pl, e := degradePlan(t)
-	out, err := pl.ExecuteWithSag(e)
+	out, err := pl.ExecuteWithSagCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestExecuteWithSagNoFaultIsNominal(t *testing.T) {
 func TestExecuteWithSagMidMission(t *testing.T) {
 	pl, e := degradePlan(t)
 	sag := BatterySag{Sortie: 2, FlightFrac: 0.5, CapacityFrac: 0.2}
-	out, err := pl.ExecuteWithSag(e, sag)
+	out, err := pl.ExecuteWithSagCtx(context.Background(), e, sag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestExecuteWithSagHarmlessSagIsFree(t *testing.T) {
 	pl, e := degradePlan(t)
 	// Sag at the very end of the sortie with full remaining capacity: the
 	// only loss is the 10% reserve on a zero-length remainder.
-	out, err := pl.ExecuteWithSag(e, BatterySag{Sortie: 1, FlightFrac: 1, CapacityFrac: 1})
+	out, err := pl.ExecuteWithSagCtx(context.Background(), e, BatterySag{Sortie: 1, FlightFrac: 1, CapacityFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestExecuteWithSagHarmlessSagIsFree(t *testing.T) {
 
 func TestExecuteWithSagDeadOnTheSpot(t *testing.T) {
 	pl, e := degradePlan(t)
-	out, err := pl.ExecuteWithSag(e, BatterySag{Sortie: 1, FlightFrac: 0.25, CapacityFrac: 0})
+	out, err := pl.ExecuteWithSagCtx(context.Background(), e, BatterySag{Sortie: 1, FlightFrac: 0.25, CapacityFrac: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestExecuteWithSagWorstOfDuplicates(t *testing.T) {
 	pl, e := degradePlan(t)
 	mild := BatterySag{Sortie: 2, FlightFrac: 0.5, CapacityFrac: 0.8}
 	severe := BatterySag{Sortie: 2, FlightFrac: 0.5, CapacityFrac: 0.1}
-	both, err := pl.ExecuteWithSag(e, mild, severe)
+	both, err := pl.ExecuteWithSagCtx(context.Background(), e, mild, severe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	severeOnly, err := pl.ExecuteWithSag(e, severe)
+	severeOnly, err := pl.ExecuteWithSagCtx(context.Background(), e, severe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestExecuteWithSagValidation(t *testing.T) {
 		{Sortie: 1, FlightFrac: 0.5, CapacityFrac: 1.5},
 	}
 	for _, s := range bad {
-		if _, err := pl.ExecuteWithSag(e, s); err == nil {
+		if _, err := pl.ExecuteWithSagCtx(context.Background(), e, s); err == nil {
 			t.Fatalf("sag %+v accepted", s)
 		}
 	}
-	if _, err := (Plan{}).ExecuteWithSag(e); err == nil {
+	if _, err := (Plan{}).ExecuteWithSagCtx(context.Background(), e); err == nil {
 		t.Fatal("empty plan accepted")
 	}
 }

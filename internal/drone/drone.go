@@ -86,20 +86,14 @@ type Flight struct {
 	Measured []geom.Point
 }
 
-// Fly executes a flight plan: each planned point is perturbed by the
+// FlyCtx executes a flight plan: each planned point is perturbed by the
 // platform's positional jitter (the true position) and then measured by
-// the OptiTrack.
-func (p Platform) Fly(plan geom.Trajectory, ot OptiTrack, src *rng.Source) Flight {
-	f, _ := p.FlyCtx(context.Background(), plan, ot, src)
-	return f
-}
-
-// FlyCtx is Fly under a deadline: the flight is cut short between plan
-// points when ctx expires, returning the points flown so far together
-// with ctx's error. The truncated flight is still internally consistent
-// (True and Measured stay paired), so a caller that chooses to use a
-// partial aperture can — but it must do so knowingly, which is why the
-// error is returned rather than swallowed.
+// the OptiTrack. The flight is cut short between plan points when ctx
+// expires, returning the points flown so far together with ctx's error.
+// The truncated flight is still internally consistent (True and Measured
+// stay paired), so a caller that chooses to use a partial aperture can —
+// but it must do so knowingly, which is why the error is returned rather
+// than swallowed.
 func (p Platform) FlyCtx(ctx context.Context, plan geom.Trajectory, ot OptiTrack, src *rng.Source) (Flight, error) {
 	f := Flight{Plan: plan}
 	wander := src.Split("wander-" + p.Name)

@@ -1,6 +1,7 @@
 package drone
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -57,7 +58,7 @@ func TestOptiTrackFieldOfView(t *testing.T) {
 
 func TestFlyJitterAndTracking(t *testing.T) {
 	plan := geom.Line(geom.P2(0, 0), geom.P2(5, 0), 50)
-	f := Bebop2().Fly(plan, DefaultOptiTrack(), rng.New(3))
+	f, _ := Bebop2().FlyCtx(context.Background(), plan, DefaultOptiTrack(), rng.New(3))
 	if len(f.True) != 50 || len(f.Measured) != 50 {
 		t.Fatalf("points: %d true, %d measured", len(f.True), len(f.Measured))
 	}
@@ -88,8 +89,8 @@ func TestFlyJitterAndTracking(t *testing.T) {
 
 func TestFlyDeterministic(t *testing.T) {
 	plan := geom.Line(geom.P2(0, 0), geom.P2(1, 0), 10)
-	a := Create2().Fly(plan, DefaultOptiTrack(), rng.New(7))
-	b := Create2().Fly(plan, DefaultOptiTrack(), rng.New(7))
+	a, _ := Create2().FlyCtx(context.Background(), plan, DefaultOptiTrack(), rng.New(7))
+	b, _ := Create2().FlyCtx(context.Background(), plan, DefaultOptiTrack(), rng.New(7))
 	for i := range a.True {
 		if a.True[i] != b.True[i] || a.Measured[i] != b.Measured[i] {
 			t.Fatal("same-seed flights differ")
@@ -101,7 +102,7 @@ func TestFlyDropsUntrackedPoints(t *testing.T) {
 	ot := DefaultOptiTrack()
 	ot.FieldOfView = func(p geom.Point) bool { return p.X < 2.5 }
 	plan := geom.Line(geom.P2(0, 0), geom.P2(5, 0), 11)
-	f := Bebop2().Fly(plan, ot, rng.New(4))
+	f, _ := Bebop2().FlyCtx(context.Background(), plan, ot, rng.New(4))
 	if len(f.True) >= 11 || len(f.True) != len(f.Measured) {
 		t.Fatalf("points: %d true, %d measured", len(f.True), len(f.Measured))
 	}

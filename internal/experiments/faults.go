@@ -200,6 +200,7 @@ func faultReadRate(cfg FaultMatrixConfig, ev fault.Event, arm faultArm, seed uin
 		wd, _ = relay.NewWatchdog(d.Relay, relay.WatchdogConfig{})
 	}
 
+	ctx := context.Background() // never ends, so the Ctx calls below cannot fail
 	ok := 0
 	sagTicks := -1
 	for tick := 0; tick < cfg.Ticks; tick++ {
@@ -208,7 +209,7 @@ func faultReadRate(cfg FaultMatrixConfig, ev fault.Event, arm faultArm, seed uin
 		}
 		if arm == armRecovery {
 			// Watchdog first: a lost or stale or drifted lock re-sweeps.
-			wd.Tick(d)
+			wd.TickCtx(ctx, d)
 			// Mission-level battery swap after the turnaround delay.
 			if !d.RelayPowered() {
 				sagTicks++
@@ -227,7 +228,7 @@ func faultReadRate(cfg FaultMatrixConfig, ev fault.Event, arm faultArm, seed uin
 		}
 		var read bool
 		if arm == armRecovery {
-			read = d.ReadAttemptRetry(tg, cfg.Retry, nil)
+			read, _ = d.ReadAttemptRetryCtx(ctx, tg, cfg.Retry, nil)
 		} else {
 			read = d.ReadAttempt(tg)
 		}
@@ -279,10 +280,11 @@ func faultLocErrors(cfg FaultMatrixConfig, c fault.Class, seed uint64) (naiveErr
 
 		plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), cfg.LocPoints)
 		src := rng.New(s).Split("flight")
-		flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), src)
+		// FlyCtx fails only when its ctx ends, which a background ctx never does.
+		flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), src)
 		cap, err := d.CollectSARCtx(context.Background(), flight, tg, func(int) {
 			inj.Step()
-			wd.Tick(d)
+			wd.TickCtx(context.Background(), d)
 			if !d.RelayPowered() {
 				d.SetRelayPowered(true) // instant swap: keep the flight alive
 			}

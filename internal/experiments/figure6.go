@@ -55,7 +55,8 @@ func figure6Trial(name string, scene *world.Scene, seed uint64) (Figure6Result, 
 	tg := d.AddTag(epc.NewEPC96(0x6A, 0, 0, 0, 0, 0), res.TagPos)
 
 	plan := geom.Line(geom.P(0, 0, 0.4), geom.P(3, 0, 0.4), 40)
-	flight := drone.Create2().Fly(plan, drone.DefaultOptiTrack(), rng.New(seed).Split("flight"))
+	// FlyCtx fails only when its ctx ends, which a background ctx never does.
+	flight, _ := drone.Create2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(seed).Split("flight"))
 	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		return res, fmt.Errorf("figure6 %s: %w", name, err)

@@ -58,7 +58,8 @@ func locTrial(p locTrialParams, seed uint64) (locTrialResult, error) {
 
 	plan := geom.Line(p.flightA, p.flightB, p.points)
 	src := rng.New(seed).Split("flight")
-	flight := p.platform.Fly(plan, drone.DefaultOptiTrack(), src)
+	// FlyCtx fails only when its ctx ends, which a background ctx never does.
+	flight, _ := p.platform.FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), src)
 	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		return out, err

@@ -45,7 +45,7 @@ func TestMissionCSVKillResume(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	snap := e.SnapshotCtx(context.Background())
 
 	// The process dies mid-sortie 1...
 	ctx, cancel := context.WithCancel(context.Background())

@@ -22,6 +22,13 @@ import (
 // ErrNodeBusy so the shedding path can spill instead of waiting out a
 // busy node's Retry-After in line.
 
+// maxNodeResponse bounds how much of a node's response body the client
+// decodes: the same 1 MiB nodes enforce on request bodies, which every
+// checkpoint or capture payload the coordinator forwards must fit anyway.
+// A hostile or broken node streaming an endless body then costs one
+// bounded buffer and a decode error, not unbounded memory.
+const maxNodeResponse = 1 << 20
+
 // ErrNodeBusy is a node's 429: the admission queue is full.
 type ErrNodeBusy struct {
 	Node       string
@@ -173,7 +180,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(io.LimitReader(resp.Body, maxNodeResponse)).Decode(out)
 }
 
 // Submit forwards a mission to the node.
@@ -272,7 +279,7 @@ func (c *Client) ProbeLoad(ctx context.Context) (Load, error) {
 		return Load{}, ErrStatus{Node: c.base, Code: resp.StatusCode}
 	}
 	var m fleet.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxNodeResponse)).Decode(&m); err != nil {
 		return Load{}, err
 	}
 	return Load{QueueDepth: m.QueueDepth}, nil

@@ -159,25 +159,29 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 
 	var res runtime.MissionResult
 	var tagReads []uint32
-	var lease *runtime.Lease
+	var eng *runtime.Engine
 	var runErr error
 	if len(head.req.Resume) > 0 {
 		// Failover path: restore the engine from a checkpoint flown
 		// elsewhere and fly only the remaining sorties. Resume requests
 		// are exclusive, so the batch is this one mission.
-		lease, runErr = s.lessor.LeaseFrom(shard, cfg, head.req.Resume)
+		eng, runErr = runtime.Restore(cfg, head.req.Resume)
 		if runErr == nil {
 			s.m.resumed.Add(1)
 		}
 	} else {
-		lease, runErr = s.lessor.Lease(shard, cfg)
+		eng, runErr = runtime.New(cfg)
 	}
 	if runErr == nil {
+		// The engine never leaves this goroutine; the sinks below are the
+		// only way its state gets out. last is the drain checkpoint.
+		var last []byte
 		// Publish each committed sortie's checkpoint on the batch
 		// records as the engine flies, so the replication path (GET
 		// /v1/missions/{id}/checkpoint) always sees the latest
 		// committed boundary, not just the end-of-mission drain blob.
-		lease.Engine().CheckpointSink = func(done int, ckpt []byte) {
+		eng.CheckpointSink = func(done int, ckpt []byte) {
+			last = ckpt
 			s.m.checkpoints.Add(1)
 			s.mu.Lock()
 			for _, m := range batch {
@@ -191,7 +195,7 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 		// (GET /v1/missions/{id}/capture), replay solves, and the
 		// federation tier's incremental segment replication. The engine
 		// only fires this for SAR missions.
-		lease.Engine().CaptureSink = func(done int, log []byte) {
+		eng.CaptureSink = func(done int, log []byte) {
 			s.m.capturePubs.Add(1)
 			s.mu.Lock()
 			for _, m := range batch {
@@ -203,7 +207,7 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 		// Live mid-flight estimates ride the same commit boundary. The
 		// solve localizes the batch's lead tag, so the estimate belongs
 		// to the head record alone (mirroring demux's Loc ownership).
-		lease.Engine().EstimateSink = func(est runtime.LiveEstimate) {
+		eng.EstimateSink = func(est runtime.LiveEstimate) {
 			s.mu.Lock()
 			head.est = &est
 			s.mu.Unlock()
@@ -211,12 +215,19 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 		// pprof label propagation: CPU samples taken during the sortie
 		// carry the mission/region/shard labels.
 		obs.Labeled(bctx, func(rctx context.Context) {
-			res, runErr = lease.Engine().Run(rctx)
+			res, runErr = eng.Run(rctx)
 		}, "rfly_mission", head.id, "rfly_region", head.req.Region, "rfly_shard", strconv.Itoa(shard))
-		tagReads = lease.Engine().TagReads()
-		// Release between sorties only: Run has returned, so the engine
-		// sits at a committed boundary (rolled back there on error).
-		lease.Release()
+		tagReads = eng.TagReads()
+		// Run has returned, so the engine sits at a committed boundary
+		// (rolled back there on error): the last published checkpoint is
+		// its state. Only a batch that committed no sortie snapshots, and
+		// outside the batch trace: the drain copy is not mission work.
+		if last == nil {
+			last = eng.SnapshotCtx(context.Background())
+		}
+		s.mu.Lock()
+		s.drain[shard] = last
+		s.mu.Unlock()
 	}
 	elapsed := time.Since(start)
 	s.m.run.ObserveDuration(elapsed)

@@ -94,9 +94,8 @@ type batchState struct {
 // split lets tests and the experiments scenario pre-fill the queue so
 // coalescing is deterministic).
 type Scheduler struct {
-	cfg    Config
-	lessor *runtime.Lessor
-	m      *Metrics
+	cfg Config
+	m   *Metrics
 
 	// runCtx gates in-flight sorties: Drain leaves it alone (in-flight
 	// work finishes), Stop cancels it.
@@ -113,6 +112,9 @@ type Scheduler struct {
 	// ewmaBatchMs is the smoothed batch service time feeding the
 	// Retry-After estimate.
 	ewmaBatchMs float64
+	// drain holds each shard's checkpoint at the end of its most recent
+	// batch — the artifact a graceful drain persists (ShardCheckpoint).
+	drain [][]byte
 
 	// replicas holds checkpoints this node keeps on behalf of
 	// federation peers (it is never read by the local scheduler; a
@@ -132,18 +134,14 @@ func New(cfg Config) (*Scheduler, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	lessor, err := runtime.NewLessor(cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:         cfg,
-		lessor:      lessor,
 		m:           newMetrics(cfg.Shards),
 		runCtx:      ctx,
 		runStop:     cancel,
 		records:     make(map[string]*mission),
+		drain:       make([][]byte, cfg.Shards),
 		replicas:    newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
 		capReplicas: newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
 	}
@@ -157,9 +155,18 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // Metrics returns the live counter set.
 func (s *Scheduler) Metrics() *Metrics { return s.m }
 
-// Lessor exposes the engine lessor (the drain path reads its
-// checkpoints).
-func (s *Scheduler) Lessor() *runtime.Lessor { return s.lessor }
+// ShardCheckpoint returns the checkpoint shard's engine stood at when
+// its most recent batch ended, or nil if the shard has never flown one
+// (or i is out of range). A restarted service resumes the shard's last
+// mission from it. The bytes are shared and must not be modified.
+func (s *Scheduler) ShardCheckpoint(i int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i < 0 || i >= len(s.drain) {
+		return nil
+	}
+	return s.drain[i]
+}
 
 // Start launches the shard workers. Starting twice is a no-op.
 func (s *Scheduler) Start() {
@@ -473,8 +480,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("fleet: drain timed out with %d sorties in flight: %w",
-			s.lessor.InFlight(), ctx.Err())
+		return fmt.Errorf("fleet: drain timed out with sorties in flight: %w", ctx.Err())
 	}
 }
 

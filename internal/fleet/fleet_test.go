@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -262,13 +263,15 @@ func TestDeadlineExpiresQueued(t *testing.T) {
 // finishes, and the drained shard leaves a resumable checkpoint.
 func TestDrain(t *testing.T) {
 	cfg := fastConfig(1)
+	cfg.Sorties = 2
 	cfg.TicksPerSortie = 30 // long enough to still be flying when we drain
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	inflight := submitOK(t, s, Request{Region: "corridor-east", Tags: testTags(1)})
+	req := Request{Region: "corridor-east", Tags: testTags(1), Seed: 41, SARPoints: 8}
+	inflight := submitOK(t, s, req)
 	// Wait for it to leave the queue.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -295,9 +298,22 @@ func TestDrain(t *testing.T) {
 	if v, _ := s.Get(queued); v.Status != StatusCanceled {
 		t.Fatalf("queued mission finished %s, want canceled", v.Status)
 	}
-	ckpt := s.Lessor().Checkpoint(0)
+	ckpt := s.ShardCheckpoint(0)
 	if ckpt == nil {
 		t.Fatal("drained shard left no checkpoint")
+	}
+	// The drain checkpoint is the end-of-mission state, byte for byte:
+	// an in-process twin flying the same config must snapshot the same
+	// bytes.
+	twin, err := runtime.New(MissionConfig(s.Config(), req, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if want := twin.SnapshotCtx(context.Background()); !bytes.Equal(ckpt, want) {
+		t.Fatalf("drain checkpoint (%d bytes) differs from the twin's final snapshot (%d bytes)", len(ckpt), len(want))
 	}
 }
 

@@ -175,6 +175,13 @@ func TestHTTPReplay(t *testing.T) {
 	}
 	resp.Body.Close()
 	replay(`{"grid":"tiny"}`, http.StatusBadRequest)
+	// Resolutions whose lattice would exceed loc's point limit are
+	// refused as unprocessable, not allocated: over the mission region a
+	// 1 µm grid is ~1e14 cells and a 0.3 mm grid 1.1e9; a 0.1 µm fine
+	// step makes a 4e12-point refinement window.
+	replay(`{"grid":1e-6}`, http.StatusUnprocessableEntity)
+	replay(`{"grid":0.0003}`, http.StatusUnprocessableEntity)
+	replay(`{"fine":1e-7}`, http.StatusUnprocessableEntity)
 }
 
 // TestHTTPCaptureReplica: the capture-replica store over HTTP — full

@@ -6,8 +6,8 @@
 // backpressure; a batcher coalesces compatible requests — same
 // warehouse region, same channel plan — into one sortie so the
 // expensive flight and SAR solve are amortized across tenants; and a
-// fixed pool of shard workers, each leasing exactly one mission engine
-// at a time (runtime.Lessor), flies the batches. cmd/rfly-serve fronts
+// fixed pool of shard workers, each owning exactly one mission engine
+// at a time, flies the batches. cmd/rfly-serve fronts
 // the scheduler with an HTTP/JSON API and cmd/rfly-load drives it.
 package fleet
 

@@ -42,9 +42,9 @@ func TestRefine2DStaysOnLattice(t *testing.T) {
 	tgt := geom.P(ox+17*fineRes, oy+4*fineRes, 0)
 	meas := syntheticPeakMeas(tgt, freq)
 
-	x, y, v := refine2D(meas, cx, cy, coarseRes, fineRes, freq)
-	if v <= 0 {
-		t.Fatalf("refine2D found no peak (v=%v)", v)
+	x, y, v, err := refine2D(context.Background(), meas, cx, cy, coarseRes, fineRes, freq)
+	if err != nil || v <= 0 {
+		t.Fatalf("refine2D found no peak (v=%v, err=%v)", v, err)
 	}
 	n := gridCount(2*coarseRes, fineRes)
 	if n != 21 {

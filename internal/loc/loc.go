@@ -121,6 +121,34 @@ func (cfg Config) searchBounds(traj geom.Trajectory) (x0, y0, x1, y1 float64) {
 	return x0 - cfg.Margin, y0 - cfg.Margin, x1 + cfg.Margin, y1 + cfg.Margin
 }
 
+// maxLatticePoints bounds every lattice a solve allocates or scans, so a
+// hostile resolution (a replay request's grid, say) cannot ask for
+// billions of cells; the figures and tests build at most ~22k points.
+const maxLatticePoints = 1 << 20
+
+// checkResolution validates cfg's grid steps for a search over spans:
+// both positive, and neither the coarse lattice over the spans nor the
+// fine ±CoarseRes window around a peak (one axis per span) above
+// maxLatticePoints. Counting in float64 rejects a step that would
+// overflow gridCount's int conversion, or a NaN, instead of wrapping.
+func (cfg Config) checkResolution(spans ...float64) error {
+	if cfg.CoarseRes <= 0 || cfg.FineRes <= 0 {
+		return fmt.Errorf("loc: non-positive grid resolution")
+	}
+	coarse, fine := 1.0, 1.0
+	for _, span := range spans {
+		coarse *= math.Floor((math.Max(span, 0)+1e-9*cfg.CoarseRes)/cfg.CoarseRes) + 1
+		fine *= math.Floor((2*cfg.CoarseRes+1e-9*cfg.FineRes)/cfg.FineRes) + 1
+	}
+	if !(coarse <= maxLatticePoints) {
+		return fmt.Errorf("loc: coarse lattice of %.3g points exceeds the %d-point limit", coarse, maxLatticePoints)
+	}
+	if !(fine <= maxLatticePoints) {
+		return fmt.Errorf("loc: fine window of %.3g points exceeds the %d-point limit", fine, maxLatticePoints)
+	}
+	return nil
+}
+
 // Result is a localization outcome.
 type Result struct {
 	// Location is the chosen tag position estimate (Z = 0 in 2D mode).
@@ -210,11 +238,11 @@ func refineAndPick(ctx context.Context, meas []Measurement, traj geom.Trajectory
 	}
 	cands := make([]Candidate, 0, len(peaks))
 	for _, p := range peaks {
-		if err := ctx.Err(); err != nil {
+		cx, cy := hm.CellCenter(p.c, p.r)
+		fx, fy, fv, err := refine2D(ctx, meas, cx, cy, cfg.CoarseRes, cfg.FineRes, cfg.Freq)
+		if err != nil {
 			return nil, fmt.Errorf("loc: search abandoned during refinement: %w", err)
 		}
-		cx, cy := hm.CellCenter(p.c, p.r)
-		fx, fy, fv := refine2D(meas, cx, cy, cfg.CoarseRes, cfg.FineRes, cfg.Freq)
 		loc := geom.P2(fx, fy)
 		cands = append(cands, Candidate{
 			Location:       loc,
@@ -238,13 +266,17 @@ func refineAndPick(ctx context.Context, meas []Measurement, traj geom.Trajectory
 // grid is integer-indexed (origin + i·fineRes): accumulating float adds
 // drift off-lattice at far-range coordinates — ulp(500 m) × dozens of
 // steps exceeds any epsilon guard — skipping the final row/column and
-// returning a peak that is not a lattice point.
-func refine2D(meas []Measurement, cx, cy, coarseRes, fineRes, freq float64) (x, y, v float64) {
+// returning a peak that is not a lattice point. ctx is checked once per
+// row; a cancelled search returns ctx's error.
+func refine2D(ctx context.Context, meas []Measurement, cx, cy, coarseRes, fineRes, freq float64) (x, y, v float64, err error) {
 	n := gridCount(2*coarseRes, fineRes)
 	ox, oy := cx-coarseRes, cy-coarseRes
 	bestV := -1.0
 	bestX, bestY := cx, cy
 	for iy := 0; iy < n; iy++ {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, 0, err
+		}
 		yy := oy + float64(iy)*fineRes
 		for ix := 0; ix < n; ix++ {
 			xx := ox + float64(ix)*fineRes
@@ -254,7 +286,7 @@ func refine2D(meas []Measurement, cx, cy, coarseRes, fineRes, freq float64) (x, 
 			}
 		}
 	}
-	return bestX, bestY, bestV
+	return bestX, bestY, bestV, nil
 }
 
 // normalizeAmplitudes returns measurements scaled to unit magnitude
@@ -389,13 +421,13 @@ func Localize3DCtx(ctx context.Context, meas []Measurement, traj geom.Trajectory
 	if len(meas) < 4 {
 		return nil, fmt.Errorf("loc: need at least 4 measurements for 3D, have %d", len(meas))
 	}
-	if cfg.CoarseRes <= 0 || cfg.FineRes <= 0 {
-		return nil, fmt.Errorf("loc: non-positive grid resolution")
-	}
 	if z1 < z0 {
 		z0, z1 = z1, z0
 	}
 	x0, y0, x1, y1 := cfg.searchBounds(traj)
+	if err := cfg.checkResolution(x1-x0, y1-y0, z1-z0); err != nil {
+		return nil, err
+	}
 	nx := gridCount(x1-x0, cfg.CoarseRes)
 	ny := gridCount(y1-y0, cfg.CoarseRes)
 	nz := gridCount(z1-z0, cfg.CoarseRes)

@@ -178,6 +178,26 @@ func TestLocalizeErrors(t *testing.T) {
 	if _, err := LocalizeCtx(context.Background(), meas, geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5), bad); err == nil {
 		t.Fatal("zero resolution accepted")
 	}
+	// Lattices over maxLatticePoints are refused up front, in 2D and 3D:
+	// a micron coarse grid would need ~7e13 cells, a 0.1 µm fine step a
+	// 4e12-point refinement window.
+	for _, tc := range []struct {
+		name         string
+		coarse, fine float64
+	}{
+		{"coarse-1e-6", 1e-6, 0.01},
+		{"fine-1e-7", 0.10, 1e-7},
+	} {
+		cfg := DefaultConfig(f900)
+		cfg.CoarseRes, cfg.FineRes = tc.coarse, tc.fine
+		traj := geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5)
+		if _, err := LocalizeCtx(context.Background(), meas, traj, cfg); err == nil {
+			t.Fatalf("%s: oversized 2D lattice accepted", tc.name)
+		}
+		if _, err := Localize3DCtx(context.Background(), meas, traj, cfg, 0, 1); err == nil {
+			t.Fatalf("%s: oversized 3D lattice accepted", tc.name)
+		}
+	}
 }
 
 func TestLocalize3D(t *testing.T) {

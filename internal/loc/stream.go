@@ -45,7 +45,8 @@ type StreamSolver struct {
 	sum  []complex128 // per-cell partial sums, row-major like stats.Heatmap
 	traj []geom.Point // every added position, locked or not (the aperture)
 	kept []Measurement
-	// total counts every Add; len(kept) is what survived robust rejection.
+	// total counts every capture added; len(kept) is what survived
+	// robust rejection.
 	total int
 }
 
@@ -58,8 +59,8 @@ func NewStreamSolver(cfg Config) (*StreamSolver, error) {
 
 // NewRobustStreamSolver builds a streaming accumulator whose Snapshot
 // matches batch LocalizeRobustCtx: carrier-unlocked captures are rejected
-// at Add time (they never enter the partial sums) and the reported σ is
-// widened by the aperture loss.
+// as they are added (they never enter the partial sums) and the reported
+// σ is widened by the aperture loss.
 func NewRobustStreamSolver(cfg Config) (*StreamSolver, error) {
 	return newStreamSolver(cfg, true)
 }
@@ -68,8 +69,8 @@ func newStreamSolver(cfg Config, robust bool) (*StreamSolver, error) {
 	if cfg.Region == nil {
 		return nil, fmt.Errorf("loc: streaming solve needs a fixed Region (trajectory bounds are unknown up front)")
 	}
-	if cfg.CoarseRes <= 0 || cfg.FineRes <= 0 {
-		return nil, fmt.Errorf("loc: non-positive grid resolution")
+	if err := cfg.checkResolution(cfg.Region.X1-cfg.Region.X0, cfg.Region.Y1-cfg.Region.Y0); err != nil {
+		return nil, err
 	}
 	// The coarse lattice is sized by the shared gridCount helper like every
 	// other grid in the package: Ceil-based sizing gained or lost a
@@ -89,16 +90,11 @@ func newStreamSolver(cfg Config, robust bool) (*StreamSolver, error) {
 	}, nil
 }
 
-// Add folds one capture into the partial sums. Safe for concurrent use
-// with AddBatch and Snapshot.
-func (s *StreamSolver) Add(m Measurement) {
-	s.AddBatch(context.Background(), []Measurement{m})
-}
-
 // AddBatch folds a batch of captures into the partial sums, striping the
-// grid rows across the worker pool (cfg.Workers, like LocalizeCtx). The
-// batch is always integrated whole: a half-applied batch would leave the
-// accumulator matching no measurement prefix, so integration ignores ctx
+// grid rows across the worker pool (cfg.Workers, like LocalizeCtx). It
+// is safe for concurrent use with Snapshot. The batch is always
+// integrated whole: a half-applied batch would leave the accumulator
+// matching no measurement prefix, so integration ignores ctx
 // cancellation (a batch is microseconds of work); ctx carries the obs
 // recorder for the loc.stream.add span.
 func (s *StreamSolver) AddBatch(ctx context.Context, meas []Measurement) {
@@ -223,8 +219,8 @@ func (s *StreamSolver) Restore(sum []complex128, history []Measurement) error {
 
 // Snapshot finalizes the current stream without consuming it: the partial
 // sums become a heatmap (one |·| per cell) and go through the same
-// finalize step as the batch solves. Later Adds keep accumulating; the
-// returned Result (heatmap included) is a detached copy.
+// finalize step as the batch solves. Later batches keep accumulating;
+// the returned Result (heatmap included) is a detached copy.
 func (s *StreamSolver) Snapshot(ctx context.Context) (*RobustResult, error) {
 	ctx, span := obs.StartSpan(ctx, "loc.stream.snapshot")
 	defer span.End()

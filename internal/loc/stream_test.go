@@ -100,9 +100,9 @@ func TestStreamFinalizeBitIdenticalToBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Mixed feeding: a few single Adds, then batches of varying size.
-			s.Add(sc.meas[0])
-			s.Add(sc.meas[1])
+			// Mixed feeding: single captures, then batches of varying size.
+			s.AddBatch(context.Background(), sc.meas[0:1])
+			s.AddBatch(context.Background(), sc.meas[1:2])
 			s.AddBatch(context.Background(), sc.meas[2:9])
 			s.AddBatch(context.Background(), sc.meas[9:])
 			snap, err := s.Snapshot(context.Background())
@@ -138,8 +138,8 @@ func TestRobustStreamMatchesLocalizeRobust(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range meas {
-			s.Add(m)
+		for i := range meas {
+			s.AddBatch(context.Background(), meas[i:i+1])
 		}
 		snap, err := s.Snapshot(context.Background())
 		if err != nil {
@@ -243,6 +243,16 @@ func TestStreamSolverErrors(t *testing.T) {
 	if _, err := NewStreamSolver(cfg); err == nil {
 		t.Fatal("zero resolution accepted")
 	}
+	cfg = regionAbove(f900)
+	cfg.CoarseRes = 1e-6
+	if _, err := NewStreamSolver(cfg); err == nil {
+		t.Fatal("oversized coarse lattice accepted")
+	}
+	cfg = regionAbove(f900)
+	cfg.FineRes = 1e-7
+	if _, err := NewStreamSolver(cfg); err == nil {
+		t.Fatal("oversized fine window accepted")
+	}
 	s, err := NewStreamSolver(regionAbove(f900))
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +267,8 @@ func TestStreamSolverErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	meas, _, _ := robustScenario(20, 18, 34)
-	for _, m := range meas {
-		rs.Add(m)
+	for i := range meas {
+		rs.AddBatch(context.Background(), meas[i:i+1])
 	}
 	if rs.Kept() != 2 {
 		t.Fatalf("kept %d of a mostly-dark flight", rs.Kept())
@@ -286,8 +296,8 @@ func TestStreamConcurrentAddBatch(t *testing.T) {
 		wg.Add(1)
 		go func(chunk []Measurement) {
 			defer wg.Done()
-			for _, m := range chunk {
-				s.Add(m)
+			for i := range chunk {
+				s.AddBatch(context.Background(), chunk[i:i+1])
 			}
 		}(sc.meas[lo:hi])
 	}

@@ -119,7 +119,7 @@ type Scenario struct {
 	Endurance drone.Endurance
 	Power     drone.PowerModel
 	// Sags replays known battery degradation through the tour's sortie
-	// schedule (drone.ExecuteWithSag) so a tired fleet plans honestly.
+	// schedule (drone.ExecuteWithSagCtx) so a tired fleet plans honestly.
 	Sags []drone.BatterySag
 
 	Constraints Constraints
@@ -181,7 +181,7 @@ type Result struct {
 	// dwell; Sorties the battery charges that airtime consumes.
 	FlightS float64
 	Sorties int
-	// LostAirtimeS is what battery sag added (drone.ExecuteWithSag).
+	// LostAirtimeS is what battery sag added (drone.ExecuteWithSagCtx).
 	LostAirtimeS float64
 	// EnergyJ is the electrical cost of (FlightS + LostAirtimeS) at the
 	// platform's power draw; EnergyPerTagJ divides by Covered.
@@ -303,7 +303,7 @@ func solve(ctx context.Context, name string, s Scenario,
 	s = s.withDefaults()
 	cov := buildCoverage(s)
 	stations := algo(s, cov)
-	res, err := price(name, s, stations)
+	res, err := price(ctx, name, s, stations)
 	if err != nil {
 		span.Str("error", err.Error())
 		return Result{}, err
@@ -318,8 +318,8 @@ func solve(ctx context.Context, name string, s Scenario,
 
 // price turns a tour into its energy accounting: transit + dwell airtime
 // across the battery schedule (with any known sag replayed through
-// drone.ExecuteWithSag), times the platform's power draw.
-func price(name string, s Scenario, stations []Station) (Result, error) {
+// drone.ExecuteWithSagCtx), times the platform's power draw.
+func price(ctx context.Context, name string, s Scenario, stations []Station) (Result, error) {
 	res := Result{Planner: name, Stations: stations, Total: len(s.Tags), Seed: s.Seed}
 	pts := []geom.Point{s.Start}
 	for _, st := range stations {
@@ -346,7 +346,7 @@ func price(name string, s Scenario, stations []Station) (Result, error) {
 	}
 	pl.GroundTime = time.Duration(pl.Sorties-1) * s.Endurance.SwapTime
 	pl.TotalTime = pl.FlightTime + pl.GroundTime
-	deg, err := pl.ExecuteWithSag(s.Endurance, s.Sags...)
+	deg, err := pl.ExecuteWithSagCtx(ctx, s.Endurance, s.Sags...)
 	if err != nil {
 		return Result{}, fmt.Errorf("plan: battery-sag replay: %w", err)
 	}

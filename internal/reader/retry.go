@@ -53,7 +53,7 @@ type RetryOutcome struct {
 	IdleSlots int
 }
 
-// RunInventoryRoundWithRetry runs one inventory round and, when it
+// RunInventoryRoundWithRetryCtx runs one inventory round and, when it
 // produces zero successful reads, retries it under pol. Between attempts
 // the reader idles for the backoff gap and reports it to onIdle (the
 // experiment's hook to advance simulated time — tick the fault injector,
@@ -61,19 +61,13 @@ type RetryOutcome struct {
 //
 // All attempts' slot statistics are merged into the returned outcome, so
 // ReadRate reflects the full exchange including the wasted rounds.
-func (r *Reader) RunInventoryRoundWithRetry(m Medium, sess epc.Session, target epc.Target,
-	qalg *epc.QAlgorithm, pol RetryPolicy, onIdle func(slots int)) RetryOutcome {
-	out, _ := r.RunInventoryRoundWithRetryCtx(context.Background(), m, sess, target, qalg, pol, onIdle)
-	return out
-}
-
-// RunInventoryRoundWithRetryCtx is RunInventoryRoundWithRetry under a
-// deadline: once ctx expires no further retry round is launched (the
-// round in flight always completes — Gen2 rounds are short and aborting
-// one mid-slot would leave session flags half-flipped). The merged
-// outcome of the rounds that did run is returned alongside ctx's error,
-// so a supervisor can both account the reads it got and know the
-// exchange was cut short.
+//
+// Once ctx expires no further retry round is launched (the round in
+// flight always completes — Gen2 rounds are short and aborting one
+// mid-slot would leave session flags half-flipped). The merged outcome of
+// the rounds that did run is returned alongside ctx's error, so a
+// supervisor can both account the reads it got and know the exchange was
+// cut short.
 func (r *Reader) RunInventoryRoundWithRetryCtx(ctx context.Context, m Medium, sess epc.Session,
 	target epc.Target, qalg *epc.QAlgorithm, pol RetryPolicy, onIdle func(slots int)) (RetryOutcome, error) {
 	backoff := pol.BackoffSlots

@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"context"
 	"testing"
 
 	"rfly/internal/epc"
@@ -36,7 +37,7 @@ func TestRetryRecoversAfterOutage(t *testing.T) {
 	m := &flakyMedium{inner: fakeMedium{tags: []*tag.Tag{tg}, snrDB: 40}, badRounds: 2}
 	r := New(DefaultConfig(), rng.New(22))
 	var idles []int
-	out := r.RunInventoryRoundWithRetry(m, epc.S0, epc.TargetA,
+	out, _ := r.RunInventoryRoundWithRetryCtx(context.Background(), m, epc.S0, epc.TargetA,
 		epc.NewQAlgorithm(0, 0.3), DefaultRetryPolicy(), func(slots int) {
 			idles = append(idles, slots)
 			m.badRounds-- // the outage heals while the reader backs off
@@ -61,7 +62,7 @@ func TestRetryGivesUpAtMaxRetries(t *testing.T) {
 	m := &flakyMedium{inner: fakeMedium{tags: []*tag.Tag{tg}, snrDB: 40}, badRounds: 100}
 	r := New(DefaultConfig(), rng.New(24))
 	pol := RetryPolicy{MaxRetries: 2, BackoffSlots: 1, MaxBackoffSlots: 4}
-	out := r.RunInventoryRoundWithRetry(m, epc.S0, epc.TargetA,
+	out, _ := r.RunInventoryRoundWithRetryCtx(context.Background(), m, epc.S0, epc.TargetA,
 		epc.NewQAlgorithm(0, 0.3), pol, nil)
 	if len(out.Stats.Reads) != 0 {
 		t.Fatal("reads through a permanently dark medium")
@@ -75,7 +76,7 @@ func TestRetryNotTriggeredWhenHealthy(t *testing.T) {
 	tg := retryTag(25)
 	m := &fakeMedium{tags: []*tag.Tag{tg}, snrDB: 40}
 	r := New(DefaultConfig(), rng.New(26))
-	out := r.RunInventoryRoundWithRetry(m, epc.S0, epc.TargetA,
+	out, _ := r.RunInventoryRoundWithRetryCtx(context.Background(), m, epc.S0, epc.TargetA,
 		epc.NewQAlgorithm(0, 0.3), DefaultRetryPolicy(), func(int) {
 			t.Fatal("onIdle called though the first round read the tag")
 		})
@@ -92,7 +93,7 @@ func TestRetryBackoffCaps(t *testing.T) {
 	r := New(DefaultConfig(), rng.New(27))
 	pol := RetryPolicy{MaxRetries: 5, BackoffSlots: 1, MaxBackoffSlots: 4}
 	var idles []int
-	r.RunInventoryRoundWithRetry(m, epc.S0, epc.TargetA,
+	r.RunInventoryRoundWithRetryCtx(context.Background(), m, epc.S0, epc.TargetA,
 		epc.NewQAlgorithm(0, 0.3), pol, func(s int) { idles = append(idles, s) })
 	want := []int{1, 2, 4, 4, 4}
 	if len(idles) != len(want) {

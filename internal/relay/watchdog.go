@@ -127,8 +127,8 @@ func (w *Watchdog) Stats() WatchdogStats { return w.stats }
 // Healthy reports whether the relay is locked and not mid-recovery.
 func (w *Watchdog) Healthy() bool { return w.relay.Locked() && !w.lostCurrent }
 
-// Tick runs one supervision step against the current RF environment and
-// reports whether the relay is locked-and-healthy after it. The
+// TickCtx runs one supervision step against the current RF environment
+// and reports whether the relay is locked-and-healthy after it. The
 // state machine:
 //
 //	locked   → count consecutive senses below threshold (or off-carrier,
@@ -138,15 +138,11 @@ func (w *Watchdog) Healthy() bool { return w.relay.Locked() && !w.lostCurrent }
 //	           sensed above threshold, Lock to it (which also clears any
 //	           accumulated CFO — retuning the PLLs is the repair); else
 //	           double the backoff up to the cap.
-func (w *Watchdog) Tick(sense CarrierSense) bool {
-	return w.TickCtx(context.Background(), sense)
-}
-
-// TickCtx is Tick with flight-recorder instrumentation: when ctx
-// carries an obs recorder, a loss of lock emits a "relay.lock_loss"
-// instant span and a successful re-sweep emits a "relay.relock" span
-// nested under whatever span the caller has open (the sortie, during a
-// mission). The state machine itself is identical to Tick.
+//
+// When ctx carries an obs recorder, a loss of lock emits a
+// "relay.lock_loss" instant span and a successful re-sweep emits a
+// "relay.relock" span nested under whatever span the caller has open
+// (the sortie, during a mission).
 func (w *Watchdog) TickCtx(ctx context.Context, sense CarrierSense) bool {
 	freq, pow, ok := sense.Sense()
 	carrier := ok && pow >= w.Cfg.ThresholdDBm

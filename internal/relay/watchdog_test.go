@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"context"
 	"testing"
 
 	"rfly/internal/rng"
@@ -36,7 +37,7 @@ func newWatchdogRelay(t *testing.T, seed uint64) (*Relay, *Watchdog) {
 func TestWatchdogStaysHealthyOnGoodCarrier(t *testing.T) {
 	r, w := newWatchdogRelay(t, 1)
 	for i := 0; i < 10; i++ {
-		if !w.Tick(carrier(0)) {
+		if !w.TickCtx(context.Background(), carrier(0)) {
 			t.Fatalf("tick %d: healthy relay reported unhealthy", i)
 		}
 	}
@@ -51,15 +52,15 @@ func TestWatchdogStaysHealthyOnGoodCarrier(t *testing.T) {
 func TestWatchdogDebouncesSingleBadSense(t *testing.T) {
 	r, w := newWatchdogRelay(t, 2)
 	// One bad tick (below LossTicks=2) must not drop the lock.
-	if !w.Tick(silence()) {
+	if !w.TickCtx(context.Background(), silence()) {
 		t.Fatal("single bad sense dropped the lock")
 	}
 	if !r.Locked() {
 		t.Fatal("relay unlocked during debounce")
 	}
 	// A good tick resets the counter; another lone bad tick is again fine.
-	w.Tick(carrier(0))
-	if !w.Tick(silence()) {
+	w.TickCtx(context.Background(), carrier(0))
+	if !w.TickCtx(context.Background(), silence()) {
 		t.Fatal("debounce counter was not reset by the good sense")
 	}
 	if s := w.Stats(); s.LossEvents != 0 {
@@ -69,10 +70,10 @@ func TestWatchdogDebouncesSingleBadSense(t *testing.T) {
 
 func TestWatchdogLossAndImmediateRelock(t *testing.T) {
 	r, w := newWatchdogRelay(t, 3)
-	w.Tick(silence())
+	w.TickCtx(context.Background(), silence())
 	// Second consecutive miss: loss declared, first re-sweep runs in the
 	// same tick, and since the carrier is still gone it fails.
-	if w.Tick(silence()) {
+	if w.TickCtx(context.Background(), silence()) {
 		t.Fatal("loss tick reported healthy")
 	}
 	if r.Locked() || w.Healthy() {
@@ -85,7 +86,7 @@ func TestWatchdogLossAndImmediateRelock(t *testing.T) {
 	// Carrier returns on the next re-sweep window → re-lock.
 	relocked := false
 	for i := 0; i < 5; i++ {
-		if w.Tick(carrier(100e3)) {
+		if w.TickCtx(context.Background(), carrier(100e3)) {
 			relocked = true
 			break
 		}
@@ -105,12 +106,12 @@ func TestWatchdogExponentialBackoff(t *testing.T) {
 	_, w := newWatchdogRelay(t, 4)
 	// Drive to loss; then count ticks between re-sweep attempts while the
 	// carrier stays gone. Expected gaps: backoff doubles 1→2→4→8 and caps.
-	w.Tick(silence())
-	w.Tick(silence()) // loss + immediate sweep #1
+	w.TickCtx(context.Background(), silence())
+	w.TickCtx(context.Background(), silence()) // loss + immediate sweep #1
 	sweeps := []int{0}
 	last := w.Stats().Resweeps
 	for tick := 1; tick <= 40; tick++ {
-		w.Tick(silence())
+		w.TickCtx(context.Background(), silence())
 		if s := w.Stats().Resweeps; s != last {
 			sweeps = append(sweeps, tick)
 			last = s
@@ -138,12 +139,12 @@ func TestWatchdogBackoffResetsAfterRelock(t *testing.T) {
 	// Drive one outage long enough to escalate past the base interval,
 	// heal it, then measure the sweep cadence of a second outage.
 	episodeGaps := func(w *Watchdog) []int {
-		w.Tick(silence())
-		w.Tick(silence()) // loss + immediate sweep
+		w.TickCtx(context.Background(), silence())
+		w.TickCtx(context.Background(), silence()) // loss + immediate sweep
 		var gaps []int
 		last, lastTick := w.Stats().Resweeps, 0
 		for tick := 1; tick <= 20; tick++ {
-			w.Tick(silence())
+			w.TickCtx(context.Background(), silence())
 			if s := w.Stats().Resweeps; s != last {
 				gaps = append(gaps, tick-lastTick)
 				last, lastTick = s, tick
@@ -154,7 +155,7 @@ func TestWatchdogBackoffResetsAfterRelock(t *testing.T) {
 	r, w := newWatchdogRelay(t, 8)
 	first := episodeGaps(w)
 	// Heal: the next re-sweep window finds the carrier again.
-	for i := 0; i < 20 && !w.Tick(carrier(0)); i++ {
+	for i := 0; i < 20 && !w.TickCtx(context.Background(), carrier(0)); i++ {
 	}
 	if !r.Locked() || !w.Healthy() {
 		t.Fatal("relay never re-locked between outages")
@@ -176,8 +177,8 @@ func TestWatchdogCFOBeyondToleranceDropsLock(t *testing.T) {
 	// Accumulated LO drift beyond the LPF cutoff: energy is still present
 	// but the forwarded baseband is dark, so the watchdog must re-lock.
 	r.ApplyCFO(w.Cfg.MaxCFOHz * 1.5)
-	w.Tick(carrier(0))
-	w.Tick(carrier(0)) // loss declared; immediate re-sweep finds the carrier
+	w.TickCtx(context.Background(), carrier(0))
+	w.TickCtx(context.Background(), carrier(0)) // loss declared; immediate re-sweep finds the carrier
 	if r.CFOHz() != 0 {
 		t.Fatalf("re-lock did not clear CFO: %v Hz", r.CFOHz())
 	}
@@ -193,8 +194,8 @@ func TestWatchdogOffFrequencyCarrierIsLoss(t *testing.T) {
 	r, w := newWatchdogRelay(t, 6)
 	// Reader hopped far away: strong carrier, wrong channel.
 	hop := w.Cfg.MaxCFOHz * 4
-	w.Tick(carrier(hop))
-	w.Tick(carrier(hop))
+	w.TickCtx(context.Background(), carrier(hop))
+	w.TickCtx(context.Background(), carrier(hop))
 	if !r.Locked() || r.ReaderFreq() != hop {
 		t.Fatalf("watchdog should have chased the hop: locked=%v freq=%v",
 			r.Locked(), r.ReaderFreq())

@@ -181,7 +181,7 @@ func runOne(ctx context.Context, seed int, m runtime.Config, killSortie, killTic
 	if err := rep.RunSorties(ctx, killSortie); err != nil {
 		return chk.violations, stats, err
 	}
-	snap := rep.Snapshot()
+	snap := rep.SnapshotCtx(context.Background())
 
 	kctx, cancel := context.WithCancel(ctx)
 	fired := false

@@ -181,7 +181,7 @@ func runPlanPair(ctx context.Context, seed int, m runtime.Config, killSortie, ki
 	if err := rep.RunSorties(ctx, killSortie); err != nil {
 		return violations, stats, err
 	}
-	snap := rep.Snapshot()
+	snap := rep.SnapshotCtx(context.Background())
 	if v := checkProvenance(seed, m, "pre-kill snapshot", snap); v != nil {
 		violations = append(violations, *v)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"rfly/internal/capture"
 	"rfly/internal/geom"
-	"rfly/internal/loc"
 	"rfly/internal/obs"
 	"rfly/internal/rng"
 	"rfly/internal/swarm"
@@ -25,37 +24,19 @@ import (
 // resume; anything the engine reconstructs deterministically (the
 // deployment, the supervisor, the watchdog) is deliberately absent.
 
-// Version history:
-//
-//	1 — single-relay missions.
-//	2 — adds the swarm fleet block (term, primary, per-member state) and
-//	    per-sortie election/promotion counters plus handoff records. The
-//	    blocks are written unconditionally (empty for non-swarm missions)
-//	    so the codec keeps exactly one canonical form per version.
-//	3 — appends the streaming SAR accumulator block: the coarse grid's
-//	    per-cell complex partial sums (hasStream = false for missions
-//	    without SAR). Information-wise the block is derivable from the
-//	    sar buffer, but carrying it keeps resume O(cells) instead of
-//	    re-projecting every buffered capture, and its dims double as a
-//	    structural cross-check against the mission's configured lattice.
-//	4 — replaces the v3 sar-buffer block with the mission's capture log,
-//	    embedded verbatim: the log's CRC-sealed columnar segments ARE the
-//	    SAR buffer (per-record capture time, pose, IQ phase, SNR, lock
-//	    flag), so the checkpoint references them zero-decode instead of
-//	    re-encoding the measurements. Restore still reads v3 frames,
-//	    reconstructing their log deterministically from the sortie
-//	    results (landing-window capture times, NaN SNR — v3 never stored
-//	    per-point SNR); their next Snapshot writes v4.
-//	5 — inserts the plan-provenance block right after the cursor: which
-//	    relay plan (planner name, plan hash, station tour) the mission is
-//	    flying, so a resumed mission can prove it holds the same plan it
-//	    started with. The flag byte is written unconditionally (false for
-//	    unplanned missions) to keep one canonical form per version; v3/v4
-//	    frames restore as before and re-snapshot as v5.
+// Layout (version 5): magic, version, config hash, sortie cursor, the
+// plan-provenance block, the mission RNG state, the carryover, the swarm
+// fleet block, per-tag inventory, the sortie results, the capture log
+// embedded verbatim, and the streaming SAR accumulator grid, closed by a
+// CRC32 trailer. Optional blocks always write their presence flag, so
+// each version has exactly one canonical form. Earlier versions lacked
+// the swarm block (v1), the accumulator grid (v2), the embedded log (v3,
+// which carried a flat capture buffer instead) and the plan block (v4);
+// only the current version is read — Restore and DecodePlanProvenance
+// reject every other as ErrInvalidCheckpoint.
 const (
-	ckptMagic       = "RFC1"
-	ckptVersion     = uint16(5)
-	ckptVersionSAR3 = uint16(3) // oldest version Restore still reads
+	ckptMagic   = "RFC1"
+	ckptVersion = uint16(5)
 )
 
 // Typed rejection classes. Every Restore failure wraps
@@ -172,20 +153,16 @@ func (r *ckptReader) length(what string) int {
 	return n
 }
 
-// Snapshot serializes the engine's committed state. Taken at a sortie
+// SnapshotCtx serializes the engine's committed state. Taken at a sortie
 // boundary it is exact: Restore followed by the remaining sorties
 // produces byte-identical results to the uninterrupted mission.
-func (e *Engine) Snapshot() []byte {
-	return e.SnapshotCtx(context.Background())
-}
-
-// SnapshotCtx is Snapshot with flight-recorder instrumentation: when
-// ctx carries an obs recorder the encode is bracketed by a
+//
+// When ctx carries an obs recorder the encode is bracketed by a
 // "runtime.checkpoint" span. Checkpoints happen only at sortie
 // boundaries, so in a recorded mission the checkpoint spans interleave
 // with — never overlap — the sortie spans and the escalations inside
 // them; the trace invariant tests assert exactly that bracketing. The
-// encoded bytes are identical to Snapshot's.
+// span never changes the encoded bytes.
 func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 	_, span := obs.StartSpan(ctx, "runtime.checkpoint")
 	defer span.End()
@@ -195,7 +172,7 @@ func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 	w.u64(e.cfg.hash())
 	w.u32(uint32(e.cur))
 
-	// Plan-provenance block (v5): the relay plan the mission flies.
+	// Plan-provenance block: the relay plan the mission flies.
 	// Redundant with the config hash by construction, but carried
 	// explicitly so checkpoint holders (the chaos harness, federation
 	// replicas) can audit WHICH plan without the config in hand.
@@ -303,10 +280,10 @@ func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 		}
 	}
 
-	// Capture log block (v4): the mission's capture log bytes, whole. The
-	// log is self-framing (versioned header, CRC-sealed segments), so the
-	// checkpoint neither re-encodes nor decodes it — Snapshot appends a
-	// snapshot of the bytes, Restore validates them with the capture
+	// Capture log block: the mission's capture log bytes, whole. The log
+	// is self-framing (versioned header, CRC-sealed segments), so the
+	// checkpoint neither re-encodes nor decodes it — SnapshotCtx appends
+	// a snapshot of the bytes, Restore validates them with the capture
 	// codec and installs them verbatim.
 	hasLog := e.capLog != nil
 	w.boolean(hasLog)
@@ -316,7 +293,7 @@ func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 		w.buf = append(w.buf, lb...)
 	}
 
-	// Streaming SAR accumulator block (v3): grid dims plus per-cell
+	// Streaming SAR accumulator block: grid dims plus per-cell
 	// complex partial sums. The grid is installed verbatim on Restore —
 	// never re-accumulated — so a resumed mission's estimates are
 	// bit-identical to the uninterrupted ones.
@@ -336,10 +313,10 @@ func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 	return w.buf
 }
 
-// Restore rebuilds an engine from a checkpoint taken by Snapshot. It
-// refuses checkpoints with a bad magic, an unknown version, a config
-// hash that does not match cfg, any truncation, or a CRC mismatch.
-func Restore(cfg Config, data []byte) (*Engine, error) {
+// openFrame checks a checkpoint frame's length, CRC trailer, magic and
+// version, and returns a reader over its body positioned at the config
+// hash.
+func openFrame(data []byte) (*ckptReader, error) {
 	if len(data) < len(ckptMagic)+2+8+4 {
 		return nil, fmt.Errorf("runtime: checkpoint too short (%d bytes): %w", len(data), ErrCheckpointTruncated)
 	}
@@ -347,21 +324,25 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 	if got, want := binary.LittleEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("runtime: checkpoint CRC %08x != computed %08x: %w", got, want, ErrCheckpointCRC)
 	}
-
-	r := &ckptReader{buf: body}
-	magic := make([]byte, len(ckptMagic))
-	if r.need(len(magic)) {
-		copy(magic, r.buf[r.off:])
-		r.off += len(magic)
-	}
-	if r.err == nil && string(magic) != ckptMagic {
+	if magic := body[:len(ckptMagic)]; string(magic) != ckptMagic {
 		return nil, fmt.Errorf("runtime: bad checkpoint magic %q: %w", magic, ErrInvalidCheckpoint)
 	}
-	ver := r.u16()
-	if r.err == nil && (ver < ckptVersionSAR3 || ver > ckptVersion) {
+	r := &ckptReader{buf: body, off: len(ckptMagic)}
+	if ver := r.u16(); ver != ckptVersion {
 		return nil, fmt.Errorf("runtime: unsupported checkpoint version %d: %w", ver, ErrInvalidCheckpoint)
 	}
+	return r, nil
+}
 
+// Restore rebuilds an engine from a checkpoint taken by SnapshotCtx. It
+// refuses checkpoints with a bad magic, any version but the current one,
+// a config hash that does not match cfg, any truncation, or a CRC
+// mismatch.
+func Restore(cfg Config, data []byte) (*Engine, error) {
+	r, err := openFrame(data)
+	if err != nil {
+		return nil, err
+	}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -372,13 +353,11 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 	}
 	cur := int(r.u32())
 
-	// Plan-provenance block (v5+). The config hash already pinned the
-	// plan, so any disagreement here is a forged or cross-wired frame —
-	// rejected as a config mismatch, the same class as a wrong fleet.
-	if ver >= ckptVersion {
-		if err := readPlanBlock(r, e.cfg); err != nil {
-			return nil, err
-		}
+	// Plan-provenance block. The config hash already pinned the plan, so
+	// any disagreement here is a forged or cross-wired frame — rejected
+	// as a config mismatch, the same class as a wrong fleet.
+	if err := readPlanBlock(r, e.cfg); err != nil {
+		return nil, err
 	}
 
 	var st rng.State
@@ -490,27 +469,10 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 		results = append(results, s)
 	}
 
-	// SAR block: v3 frames carry a flat measurement buffer; v4 frames
-	// carry the capture log verbatim. Both paths land in sar (the flat
-	// buffer the solver's bookkeeping replays); the v4 path additionally
-	// keeps the raw log bytes to install after validation.
-	var sar []loc.Measurement
+	// Capture log block: held as a view into the frame until the whole
+	// frame has parsed, then validated and copied once by capture.Resume.
 	var capLogBytes []byte
-	if ver == ckptVersionSAR3 {
-		nSAR := r.length("sar buffer")
-		sar = make([]loc.Measurement, 0, min(nSAR, 4096))
-		for i := 0; i < nSAR && r.err == nil; i++ {
-			var m loc.Measurement
-			m.Pos = geom.P(r.f64(), r.f64(), r.f64())
-			m.H = complex(r.f64(), r.f64())
-			m.Unlocked = r.boolean()
-			sar = append(sar, m)
-		}
-		if r.err == nil && len(sar) > 0 && e.capLog == nil {
-			return nil, fmt.Errorf("runtime: checkpoint carries %d SAR captures but the mission config has no aperture: %w",
-				len(sar), ErrCheckpointConfigMismatch)
-		}
-	} else if hasLog := r.boolean(); r.err == nil {
+	if hasLog := r.boolean(); r.err == nil {
 		if hasLog != (e.capLog != nil) {
 			return nil, fmt.Errorf("runtime: checkpoint capture log present=%t but mission SAR config present=%t: %w",
 				hasLog, e.capLog != nil, ErrCheckpointConfigMismatch)
@@ -521,7 +483,7 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 				return nil, fmt.Errorf("runtime: checkpoint capture log length %d exceeds limit: %w", n, ErrInvalidCheckpoint)
 			}
 			if r.need(n) {
-				capLogBytes = append([]byte(nil), r.buf[r.off:r.off+n]...)
+				capLogBytes = r.buf[r.off : r.off+n]
 				r.off += n
 			}
 		}
@@ -569,39 +531,6 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 			cur, len(results), e.cfg.Sorties, ErrInvalidCheckpoint)
 	}
 
-	// v4: validate the embedded capture log with its own codec, check its
-	// provenance header against the mission config, and cross-check its
-	// segments against the sortie results — one segment per SAR-bearing
-	// sortie, counts matching — before flattening its records into the
-	// solver's measurement buffer.
-	if capLogBytes != nil {
-		rd, err := capture.OpenLog(capLogBytes)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: checkpoint capture log: %v: %w", err, ErrInvalidCheckpoint)
-		}
-		if rd.Header() != e.cfg.captureHeader() {
-			return nil, fmt.Errorf("runtime: checkpoint capture log header does not match mission config: %w",
-				ErrCheckpointConfigMismatch)
-		}
-		segIdx := 0
-		for _, s := range results {
-			if s.SARPoints == 0 {
-				continue
-			}
-			if segIdx >= rd.NumSegments() || rd.Segment(segIdx).Sortie() != s.Sortie+1 ||
-				rd.Segment(segIdx).Count() != s.SARPoints {
-				return nil, fmt.Errorf("runtime: checkpoint capture log segments disagree with sortie results: %w",
-					ErrInvalidCheckpoint)
-			}
-			segIdx++
-		}
-		if segIdx != rd.NumSegments() {
-			return nil, fmt.Errorf("runtime: checkpoint capture log has %d orphan segments: %w",
-				rd.NumSegments()-segIdx, ErrInvalidCheckpoint)
-		}
-		sar = rd.Measurements()
-	}
-
 	src, err := rng.Restore(st)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: checkpoint RNG state: %v: %w", err, ErrInvalidCheckpoint)
@@ -611,64 +540,60 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 	e.src = src
 	e.tagReads = tagReads
 	e.results = results
-	e.sar = sar
-	if e.solver != nil {
-		// Install the checkpointed grid verbatim and replay the buffer
-		// through the solver's bookkeeping filters (trajectory, robust
-		// rejection accounting) — the grid cells themselves are never
-		// re-accumulated, which is what keeps resumed estimates bit-exact.
-		if err := e.solver.Restore(streamSum, sar); err != nil {
-			return nil, fmt.Errorf("runtime: checkpoint stream grid: %v: %w", err, ErrInvalidCheckpoint)
-		}
-	}
-	switch {
-	case capLogBytes != nil:
-		// Install the validated log verbatim; its append counters resume
-		// from the embedded segments.
-		lg, err := capture.Resume(capLogBytes)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: checkpoint capture log resume: %v: %w", err, ErrInvalidCheckpoint)
-		}
-		e.capLog = lg
-	case ver == ckptVersionSAR3 && e.capLog != nil:
-		// v3 upgrade: rebuild the log deterministically from the sortie
-		// results and the flat buffer. Capture times use the same
-		// landing-window formula the live non-swarm path records; SNR is
-		// NaN because v3 frames never stored it per point.
-		off := 0
-		for _, s := range results {
-			if s.SARPoints == 0 {
-				continue
-			}
-			if off+s.SARPoints > len(sar) {
-				return nil, fmt.Errorf("runtime: checkpoint sortie SAR counts exceed the %d-capture buffer: %w",
-					len(sar), ErrInvalidCheckpoint)
-			}
-			recs := make([]capture.Record, s.SARPoints)
-			n := e.cfg.SARPointsPerSortie
-			for j := range recs {
-				m := sar[off+j]
-				recs[j] = capture.Record{
-					T:   float64(s.StartTick) + float64(e.cfg.TicksPerSortie) + float64(j)/float64(n+1),
-					Pos: m.Pos, H: m.H, SNRdB: math.NaN(), Unlocked: m.Unlocked,
-				}
-			}
-			e.capLog.AppendSegmentCtx(context.Background(), s.Sortie+1, recs)
-			off += s.SARPoints
-		}
-		if off != len(sar) {
-			return nil, fmt.Errorf("runtime: checkpoint sortie SAR counts cover %d of %d buffered captures: %w",
-				off, len(sar), ErrInvalidCheckpoint)
+	if capLogBytes != nil {
+		if err := e.restoreSAR(capLogBytes, streamSum); err != nil {
+			return nil, err
 		}
 	}
 	return e, nil
+}
+
+// restoreSAR installs a checkpoint's SAR state: the embedded capture log
+// and the accumulator grid. The log is validated with its own codec,
+// its provenance header checked against the mission config, and its
+// segments cross-checked against the sortie results — one segment per
+// SAR-bearing sortie, counts matching. The grid is then installed
+// verbatim and the log's records replayed through the solver's
+// bookkeeping filters (trajectory, robust rejection accounting); the
+// grid cells themselves are never re-accumulated, which is what keeps
+// resumed estimates bit-exact.
+func (e *Engine) restoreSAR(logBytes []byte, sum []complex128) error {
+	lg, rd, err := capture.Resume(logBytes)
+	if err != nil {
+		return fmt.Errorf("runtime: checkpoint capture log: %v: %w", err, ErrInvalidCheckpoint)
+	}
+	if rd.Header() != e.cfg.captureHeader() {
+		return fmt.Errorf("runtime: checkpoint capture log header does not match mission config: %w",
+			ErrCheckpointConfigMismatch)
+	}
+	segIdx := 0
+	for _, s := range e.results {
+		if s.SARPoints == 0 {
+			continue
+		}
+		if segIdx >= rd.NumSegments() || rd.Segment(segIdx).Sortie() != s.Sortie+1 ||
+			rd.Segment(segIdx).Count() != s.SARPoints {
+			return fmt.Errorf("runtime: checkpoint capture log segments disagree with sortie results: %w",
+				ErrInvalidCheckpoint)
+		}
+		segIdx++
+	}
+	if segIdx != rd.NumSegments() {
+		return fmt.Errorf("runtime: checkpoint capture log has %d orphan segments: %w",
+			rd.NumSegments()-segIdx, ErrInvalidCheckpoint)
+	}
+	if err := e.solver.Restore(sum, rd.Measurements()); err != nil {
+		return fmt.Errorf("runtime: checkpoint stream grid: %v: %w", err, ErrInvalidCheckpoint)
+	}
+	e.capLog = lg
+	return nil
 }
 
 // ckptMaxPlanName bounds the provenance name so a forged length cannot
 // size an allocation.
 const ckptMaxPlanName = 256
 
-// readPlanBlock parses and cross-validates the v5 plan-provenance block
+// readPlanBlock parses and cross-validates the plan-provenance block
 // against the mission config.
 func readPlanBlock(r *ckptReader, cfg Config) error {
 	hasPlan := r.boolean()
@@ -736,31 +661,12 @@ type PlanProvenance struct {
 // DecodePlanProvenance extracts the plan-provenance block from a raw
 // checkpoint frame without a mission config: the audit entry point for
 // checkpoint holders (chaos harness, federation replicas). Returns
-// ok=false — with no error — for intact frames that carry no plan
-// (unplanned missions and pre-v5 versions); an error for frames that are
-// not valid checkpoints at all.
+// ok=false — with no error — for intact frames of unplanned missions; an
+// error for frames that are not valid current-version checkpoints.
 func DecodePlanProvenance(data []byte) (PlanProvenance, bool, error) {
-	if len(data) < len(ckptMagic)+2+8+4+4 {
-		return PlanProvenance{}, false, fmt.Errorf("runtime: checkpoint too short (%d bytes): %w",
-			len(data), ErrCheckpointTruncated)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
-		return PlanProvenance{}, false, fmt.Errorf("runtime: checkpoint CRC %08x != computed %08x: %w",
-			got, want, ErrCheckpointCRC)
-	}
-	r := &ckptReader{buf: body}
-	if string(r.buf[:len(ckptMagic)]) != ckptMagic {
-		return PlanProvenance{}, false, fmt.Errorf("runtime: bad checkpoint magic: %w", ErrInvalidCheckpoint)
-	}
-	r.off = len(ckptMagic)
-	ver := r.u16()
-	if ver < ckptVersionSAR3 || ver > ckptVersion {
-		return PlanProvenance{}, false, fmt.Errorf("runtime: unsupported checkpoint version %d: %w",
-			ver, ErrInvalidCheckpoint)
-	}
-	if ver < ckptVersion {
-		return PlanProvenance{}, false, nil // pre-plan frame
+	r, err := openFrame(data)
+	if err != nil {
+		return PlanProvenance{}, false, err
 	}
 	r.u64() // config hash — not validated without a config
 	r.u32() // cursor

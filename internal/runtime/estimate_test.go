@@ -72,7 +72,7 @@ func TestResumeCarriesAccumulator(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(cfg, e.Snapshot())
+	r, err := Restore(cfg, e.SnapshotCtx(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}

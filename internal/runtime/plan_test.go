@@ -63,12 +63,12 @@ func TestPlannedMissionDeterminismAndResume(t *testing.T) {
 	if err := live.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := live.Snapshot()
+	ckpt := live.SnapshotCtx(context.Background())
 	r, err := Restore(cfg, ckpt)
 	if err != nil {
 		t.Fatalf("planned checkpoint rejected: %v", err)
 	}
-	if !bytes.Equal(r.Snapshot(), ckpt) {
+	if !bytes.Equal(r.SnapshotCtx(context.Background()), ckpt) {
 		t.Fatal("planned checkpoint restore is not a fixed point")
 	}
 	if err := live.RunSorties(context.Background(), cfg.Sorties-1); err != nil {
@@ -91,7 +91,7 @@ func TestDecodePlanProvenance(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	p, ok, err := DecodePlanProvenance(e.Snapshot())
+	p, ok, err := DecodePlanProvenance(e.SnapshotCtx(context.Background()))
 	if err != nil || !ok {
 		t.Fatalf("planned frame: ok=%t err=%v", ok, err)
 	}
@@ -104,11 +104,11 @@ func TestDecodePlanProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := DecodePlanProvenance(ue.Snapshot()); ok || err != nil {
+	if _, ok, err := DecodePlanProvenance(ue.SnapshotCtx(context.Background())); ok || err != nil {
 		t.Fatalf("unplanned frame: ok=%t err=%v", ok, err)
 	}
 
-	// A pre-v5 frame decodes clean with ok=false too.
+	// A pre-v5 frame is no longer a checkpoint this codec reads.
 	te, err := New(testConfig(5))
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +116,8 @@ func TestDecodePlanProvenance(t *testing.T) {
 	if err := te.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := DecodePlanProvenance(v3Frame(te)); ok || err != nil {
-		t.Fatalf("v3 frame: ok=%t err=%v", ok, err)
+	if _, ok, err := DecodePlanProvenance(versionFrame(te.SnapshotCtx(context.Background()), 4)); ok || !errors.Is(err, ErrInvalidCheckpoint) {
+		t.Fatalf("v4 frame: ok=%t err=%v, want ErrInvalidCheckpoint", ok, err)
 	}
 
 	// Garbage is a typed rejection, never a panic.
@@ -135,7 +135,7 @@ func TestPlanProvenanceMismatchRejected(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := e.Snapshot()
+	ckpt := e.SnapshotCtx(context.Background())
 
 	// A planned checkpoint offered to a mission flying a different tour —
 	// or no tour at all — is a config mismatch. (The config hash catches it

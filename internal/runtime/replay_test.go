@@ -185,7 +185,7 @@ func TestKillResumeCaptureLogIdentical(t *testing.T) {
 	if err := e.RunSorties(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(cfg, e.Snapshot())
+	r, err := Restore(cfg, e.SnapshotCtx(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}

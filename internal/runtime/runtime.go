@@ -345,7 +345,6 @@ type Engine struct {
 	carry    Carryover
 	results  []SortieResult
 	tagReads []uint32 // cumulative per-tag inventory
-	sar      []loc.Measurement
 
 	// solver is the streaming SAR accumulator: each sortie's disentangled
 	// captures are integrated into the coarse grid at commit time, so the
@@ -441,7 +440,7 @@ func New(cfg Config) (*Engine, error) {
 
 // locConfig is the mission's localizer configuration. The search region
 // is fixed from the relay stations — each sortie's aperture is a ±1 m
-// line through its station (sarFlight), so the stations bound the
+// line through its station (apertureFlight), so the stations bound the
 // trajectory the way the old post-hoc traj.Bounds() margins did — which
 // lets the streaming accumulator allocate its grid before the first
 // capture and keeps the lattice independent of OptiTrack noise in the
@@ -650,54 +649,97 @@ func (e *Engine) LiveEstimateCtx(ctx context.Context) (LiveEstimate, bool) {
 	}, true
 }
 
-func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
+// sortie is one sortie's working state, threaded through the stages of
+// runSortie. The stages before commit write only here, never to the
+// engine, so a failed sortie has nothing to undo but the RNG draw.
+type sortie struct {
+	seed  uint64 // build seed, drawn from the mission stream
+	base  int    // global tick of the sortie's first tick
+	d     *sim.Deployment
+	tags  []*tag.Tag
+	coord *swarm.Coordinator // nil for single-relay missions
+	wd    *relay.Watchdog
+	inj   *fault.Injector
+	sup   *Supervisor
+	res   SortieResult
+
+	// In-loop aperture (swarm SAR missions): ticks from sarStart on steer
+	// along flight, and their raw captures buffer here until the SAR
+	// stage disentangles them.
+	sarStart        int
+	flight          drone.Flight
+	capTgt, capEmb  []loc.Measurement
+	capSNR, capTick []float64
+
+	// The SAR stage's output, staged until commit: the disentangled
+	// captures the solver folds and the records the capture log seals.
+	newSAR  []loc.Measurement
+	pending []capture.Record
+}
+
+// runSortie flies the next sortie through its stages — prepare, launch
+// relock, tick loop, SAR capture — and commits it. A stage error rolls
+// the mission RNG back to the sortie boundary, so a later RunSortie (or a
+// resume) replays the sortie bit-identically.
+func (e *Engine) runSortie(ctx context.Context) (_ SortieResult, err error) {
 	if e.cur >= e.cfg.Sorties {
 		return SortieResult{}, fmt.Errorf("runtime: mission already complete (%d sorties)", e.cur)
 	}
 	srcMark := e.src.Snapshot()
-	sortieSeed := e.src.Uint64()
-	rollback := func() {
-		if s, err := rng.Restore(srcMark); err == nil {
-			e.src = s
+	defer func() {
+		if err != nil {
+			// The one rollback: rewind the mission RNG to the boundary (a
+			// live stream's snapshot always restores, so the error is nil).
+			e.src, _ = rng.Restore(srcMark)
 		}
+	}()
+	s, err := e.prepareSortie(ctx, e.src.Uint64())
+	if err != nil {
+		return SortieResult{}, err
 	}
+	if err := e.launchRelock(ctx, s); err != nil {
+		return SortieResult{}, err
+	}
+	if err := e.flyTicks(ctx, s); err != nil {
+		return SortieResult{}, err
+	}
+	if err := e.captureSAR(ctx, s); err != nil {
+		return SortieResult{}, err
+	}
+	return e.commit(ctx, s), nil
+}
 
-	d, tags := e.buildDeployment(sortieSeed)
-	var coord *swarm.Coordinator
-	var wd *relay.Watchdog
+// prepareSortie builds the sortie from its seed: the deployment with the
+// carryover applied, the relay supervision (a swarm coordinator or a
+// lone watchdog), the fault injector clipped to the sortie window, the
+// escalation supervisor, and for swarm SAR missions the aperture flight.
+func (e *Engine) prepareSortie(ctx context.Context, seed uint64) (*sortie, error) {
+	d, tags := e.buildDeployment(seed)
+	base := e.cur * e.cfg.TicksPerSortie
+	s := &sortie{seed: seed, base: base, d: d, tags: tags, sarStart: e.cfg.TicksPerSortie + 1,
+		res: SortieResult{Sortie: e.cur, StartTick: int64(base), TagReads: make([]uint32, len(tags)), MeanSNRdB: math.NaN()}}
+	var injTarget fault.Target = d
 	var err error
 	if e.cfg.Swarm.Enabled() {
 		// The coordinator replaces the deployment's relay with the elected
 		// primary's hardware; its member builds draw only from named splits
 		// of the deployment stream, so non-swarm missions are unperturbed.
-		coord, err = swarm.NewCoordinator(ctx, e.cfg.Swarm, d, e.carry.Swarm, e.cfg.Seed)
-		if err != nil {
-			rollback()
-			return SortieResult{}, err
+		// It absorbs the swarm-directed fault classes and passes everything
+		// else through to the deployment.
+		if s.coord, err = swarm.NewCoordinator(ctx, e.cfg.Swarm, d, e.carry.Swarm, e.cfg.Seed); err != nil {
+			return nil, err
 		}
-		wd = coord.PrimaryWatchdog()
-	} else {
-		wd, err = relay.NewWatchdog(d.Relay, relay.WatchdogConfig{})
-		if err != nil {
-			rollback()
-			return SortieResult{}, err
-		}
+		s.wd = s.coord.PrimaryWatchdog()
+		injTarget = s.coord
+	} else if s.wd, err = relay.NewWatchdog(d.Relay, relay.WatchdogConfig{}); err != nil {
+		return nil, err
 	}
-	base := e.cur * e.cfg.TicksPerSortie
-	var injTarget fault.Target = d
-	if coord != nil {
-		// The coordinator absorbs the swarm-directed classes and passes
-		// everything else through to the deployment.
-		injTarget = coord
+	if s.inj, err = fault.NewInjector(clipSchedule(e.cfg.Schedule, s.base, e.cfg.TicksPerSortie), injTarget); err != nil {
+		return nil, err
 	}
-	inj, err := fault.NewInjector(clipSchedule(e.cfg.Schedule, base, e.cfg.TicksPerSortie), injTarget)
-	if err != nil {
-		rollback()
-		return SortieResult{}, err
-	}
-	sup := NewSupervisor(e.cfg.Supervisor)
-	if coord != nil {
-		sup.Failover = coord
+	s.sup = NewSupervisor(e.cfg.Supervisor)
+	if s.coord != nil {
+		s.sup.Failover = s.coord
 	}
 
 	// Swarm missions fly the SAR aperture INSIDE the tick loop: the last
@@ -706,63 +748,56 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 	// aperture hands off to a shadow and the buffer keeps filling — which
 	// the end-of-sortie pass (kept for non-swarm missions, bit-identical)
 	// cannot do.
-	sarStart := e.cfg.TicksPerSortie + 1
-	var flight drone.Flight
-	var capTgt, capEmb []loc.Measurement
-	var capSNR, capTick []float64
-	if coord != nil && e.cfg.SARPointsPerSortie > 0 {
-		sarStart = e.cfg.TicksPerSortie - e.cfg.SARPointsPerSortie
-		flight, err = e.sarFlight(ctx, sortieSeed)
-		if err != nil {
-			rollback()
-			return SortieResult{}, err
+	if s.coord != nil && e.cfg.SARPointsPerSortie > 0 {
+		s.sarStart = e.cfg.TicksPerSortie - e.cfg.SARPointsPerSortie
+		if s.flight, err = e.apertureFlight(ctx, seed); err != nil {
+			return nil, err
 		}
-		coord.OnHandoff = func(h *swarm.HandoffRecord) { h.SARCaptured = len(capTgt) }
+		s.coord.OnHandoff = func(h *swarm.HandoffRecord) { h.SARCaptured = len(s.capTgt) }
 	}
+	return s, nil
+}
 
-	res := SortieResult{
-		Sortie:    e.cur,
-		StartTick: int64(base),
-		TagReads:  make([]uint32, len(tags)),
-		MeanSNRdB: math.NaN(),
+// launchRelock is the launch checklist: a powered relay that came back
+// unlocked from the previous sortie gets a bounded re-acquisition window
+// before the clock starts burning read attempts.
+func (e *Engine) launchRelock(ctx context.Context, s *sortie) error {
+	if !s.d.RelayPowered() || s.d.RelayLockHealthy() {
+		return nil
 	}
+	lctx, span := obs.StartSpan(ctx, "runtime.launch_relock")
+	n, _ := s.wd.AwaitLock(lctx, s.d, s.sup.Cfg.RelockTicks)
+	s.res.LaunchRelockTicks = n
+	span.Int("ticks", int64(n)).Bool("locked", s.d.RelayLockHealthy())
+	span.End()
+	return ctx.Err()
+}
 
-	// Launch checklist: a powered relay that came back unlocked from the
-	// previous sortie gets a bounded re-acquisition window before the
-	// clock starts burning read attempts.
-	if d.RelayPowered() && !d.RelayLockHealthy() {
-		lctx, lspan := obs.StartSpan(ctx, "runtime.launch_relock")
-		n, _ := wd.AwaitLock(lctx, d, sup.Cfg.RelockTicks)
-		res.LaunchRelockTicks = n
-		lspan.Int("ticks", int64(n)).Bool("locked", d.RelayLockHealthy())
-		lspan.End()
-		if err := ctx.Err(); err != nil {
-			rollback()
-			return SortieResult{}, err
-		}
-	}
-
+// flyTicks is the sortie's tick loop: fault injection, swarm and
+// supervisor ticks, the link budget, in-loop aperture captures, and one
+// read attempt per tag. A supervisor abort ends the loop early (the
+// sortie still commits); a cancelled ctx fails it.
+func (e *Engine) flyTicks(ctx context.Context, s *sortie) error {
+	d, res := s.d, &s.res
 	var snrSum float64
 	var snrN int
 	for tick := 0; tick < e.cfg.TicksPerSortie; tick++ {
 		if err := ctx.Err(); err != nil {
-			rollback()
-			return SortieResult{}, fmt.Errorf("runtime: sortie %d cancelled at tick %d: %w",
-				res.Sortie, tick, err)
+			return fmt.Errorf("runtime: sortie %d cancelled at tick %d: %w", res.Sortie, tick, err)
 		}
 		// Aperture ticks steer the relay along the planned SAR flight;
 		// OptiTrack drop-outs shorten the flight, so out-of-range ticks
 		// hover in place.
 		sarIdx := -1
-		if tick >= sarStart && tick-sarStart < len(flight.True) {
-			sarIdx = tick - sarStart
-			d.MoveRelay(flight.True[sarIdx])
+		if tick >= s.sarStart && tick-s.sarStart < len(s.flight.True) {
+			sarIdx = tick - s.sarStart
+			d.MoveRelay(s.flight.True[sarIdx])
 		}
-		inj.Step()
-		if coord != nil {
-			coord.TickCtx(ctx)
+		s.inj.Step()
+		if s.coord != nil {
+			s.coord.TickCtx(ctx)
 		}
-		h := sup.TickCtx(ctx, d, wd, e.cfg.SwapDelayTicks, e.cfg.StationKeepStepM)
+		h := s.sup.TickCtx(ctx, d, s.wd, e.cfg.SwapDelayTicks, e.cfg.StationKeepStepM)
 		if h.Abort {
 			res.Aborted = true
 			break
@@ -771,22 +806,22 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 		// observer's invariant checks and the SNR telemetry, and being
 		// unconditional keeps the deterministic stream identical whether
 		// or not anyone observes.
-		bud := d.LinkBudget(tags[0])
+		bud := d.LinkBudget(s.tags[0])
 		if !math.IsInf(bud.SNRdB, -1) && !math.IsNaN(bud.SNRdB) {
 			snrSum += bud.SNRdB
 			snrN++
 		}
 		lockForReads := d.RelayLockHealthy()
 		if sarIdx >= 0 {
-			if mT, mE, snr, ok := d.CaptureSARPoint(tags[0], flight.Measured[sarIdx]); ok {
-				capTgt = append(capTgt, mT)
-				capEmb = append(capEmb, mE)
-				capSNR = append(capSNR, snr)
-				capTick = append(capTick, float64(base+tick))
+			if mT, mE, snr, ok := d.CaptureSARPoint(s.tags[0], s.flight.Measured[sarIdx]); ok {
+				s.capTgt = append(s.capTgt, mT)
+				s.capEmb = append(s.capEmb, mE)
+				s.capSNR = append(s.capSNR, snr)
+				s.capTick = append(s.capTick, float64(s.base+tick))
 			}
 		}
 		reads := 0
-		for ti, tg := range tags {
+		for ti, tg := range s.tags {
 			res.Attempts++
 			ok, err := d.ReadAttemptRetryCtx(ctx, tg, e.cfg.Retry, nil)
 			if ok {
@@ -795,14 +830,12 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 				reads++
 			}
 			if err != nil {
-				rollback()
-				return SortieResult{}, fmt.Errorf("runtime: sortie %d reads cancelled: %w",
-					res.Sortie, err)
+				return fmt.Errorf("runtime: sortie %d reads cancelled: %w", res.Sortie, err)
 			}
 		}
 		if e.Observer != nil {
 			e.Observer(TickObs{
-				Clock:       int64(base + tick),
+				Clock:       int64(s.base + tick),
 				Sortie:      res.Sortie,
 				Tick:        tick,
 				Budget:      bud,
@@ -810,73 +843,82 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 				Reads:       reads,
 				Health:      h,
 				Deployment:  d,
-				Tag:         tags[0],
+				Tag:         s.tags[0],
 			})
 		}
 	}
 	if snrN > 0 {
 		res.MeanSNRdB = snrSum / float64(snrN)
 	}
+	return nil
+}
 
-	// End-of-sortie SAR pass (skipped for an aborted sortie: the drone
-	// went straight home). Swarm missions already captured in-loop; they
-	// disentangle whatever the (possibly handed-off) buffer holds.
-	// Capture records are STAGED here and sealed into the log only at the
-	// commit below: a rolled-back or error'd sortie leaves no trace in the
-	// capture log, mirroring the solver-grid invariant.
-	var newSAR []loc.Measurement
-	var pending []capture.Record
+// captureSAR is the sortie's SAR stage, skipped for an aborted sortie
+// (the drone went straight home). Single-relay missions fly the
+// end-of-sortie pass; swarm missions already captured in-loop and
+// disentangle whatever the (possibly handed-off) buffer holds. The
+// captures and their log records are staged on s and sealed only at
+// commit: a rolled-back sortie leaves no trace in the solver grid or
+// the capture log.
+func (e *Engine) captureSAR(ctx context.Context, s *sortie) error {
 	switch {
-	case coord == nil && e.cfg.SARPointsPerSortie > 0 && !res.Aborted:
-		cap, err := e.sarPass(ctx, d, tags[0], sortieSeed, func(m loc.Measurement) {
+	case s.res.Aborted:
+	case s.coord == nil && e.cfg.SARPointsPerSortie > 0:
+		var pending []capture.Record
+		cap, err := e.landingPass(ctx, s.d, s.tags[0], s.seed, func(m loc.Measurement) {
 			pending = append(pending, capture.Record{Pos: m.Pos, H: m.H, Unlocked: m.Unlocked})
 		})
 		if err != nil {
-			pending = nil
+			// A dark flight contributes nothing and the mission continues;
+			// only a cancelled ctx fails the sortie.
 			if ctx.Err() != nil {
-				rollback()
-				return SortieResult{}, err
+				return err
 			}
-			// A dark flight contributes nothing; the mission continues.
-		} else {
-			newSAR = cap.Disentangled
-			res.SARPoints = len(newSAR)
-			// The end-of-sortie pass flies in the landing window after the
-			// last tick; the stream sink sees no per-point budget, so the
-			// records carry fractional landing-window times and the pass's
-			// mean SNR (the same values the v3→v4 checkpoint upgrade
-			// reconstructs, minus the SNR, which v3 never stored).
-			n := e.cfg.SARPointsPerSortie
-			for j := range pending {
-				pending[j].T = float64(base+e.cfg.TicksPerSortie) + float64(j)/float64(n+1)
-				pending[j].SNRdB = cap.MeanSNRdB
-			}
+			return nil
 		}
-	case coord != nil && len(capTgt) > 0 && !res.Aborted:
-		dis, err := sim.DisentangleCapture(capTgt, capEmb)
-		if err == nil {
-			newSAR = dis
-			res.SARPoints = len(newSAR)
-			// In-loop aperture ticks know their exact capture tick and
-			// per-point SNR; the record carries both.
-			pending = make([]capture.Record, len(dis))
-			for j, m := range dis {
-				pending[j] = capture.Record{
-					T: capTick[j], Pos: m.Pos, H: m.H,
-					SNRdB: capSNR[j], Unlocked: m.Unlocked,
-				}
+		// The end-of-sortie pass flies in the landing window after the
+		// last tick; the stream sink sees no per-point budget, so the
+		// records carry fractional landing-window times and the pass's
+		// mean SNR.
+		n := e.cfg.SARPointsPerSortie
+		for j := range pending {
+			pending[j].T = float64(s.base+e.cfg.TicksPerSortie) + float64(j)/float64(n+1)
+			pending[j].SNRdB = cap.MeanSNRdB
+		}
+		s.newSAR, s.pending = cap.Disentangled, pending
+	case len(s.capTgt) > 0:
+		dis, err := sim.DisentangleCapture(s.capTgt, s.capEmb)
+		if err != nil {
+			return nil
+		}
+		// In-loop aperture ticks know their exact capture tick and
+		// per-point SNR; the record carries both.
+		s.newSAR = dis
+		s.pending = make([]capture.Record, len(dis))
+		for j, m := range dis {
+			s.pending[j] = capture.Record{
+				T: s.capTick[j], Pos: m.Pos, H: m.H,
+				SNRdB: s.capSNR[j], Unlocked: m.Unlocked,
 			}
 		}
 	}
+	s.res.SARPoints = len(s.newSAR)
+	return nil
+}
 
-	ws := wd.Stats()
-	if coord != nil {
+// commit folds the sortie into the engine: the supervision counters into
+// its result, then carryover, cumulative inventory, the staged SAR
+// captures and the cursor.
+func (e *Engine) commit(ctx context.Context, s *sortie) SortieResult {
+	res := s.res
+	ws := s.wd.Stats()
+	if s.coord != nil {
 		// Fleet-wide watchdog activity: the shadows' re-sweeps count too.
-		ws = coord.WatchdogStats()
-		res.Elections, res.Promotions = coord.Counts()
-		res.Handoffs = append([]swarm.HandoffRecord(nil), coord.Handoffs()...)
+		ws = s.coord.WatchdogStats()
+		res.Elections, res.Promotions = s.coord.Counts()
+		res.Handoffs = append([]swarm.HandoffRecord(nil), s.coord.Handoffs()...)
 	}
-	ss := sup.Stats()
+	ss := s.sup.Stats()
 	res.Relocks = ws.Relocks
 	res.Resweeps = ws.Resweeps
 	res.LossEvents = ws.LossEvents
@@ -885,16 +927,15 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 	res.BreakerTrips = ss.BreakerTrips
 	res.BatterySwaps = ss.BatterySwaps
 
-	// Commit: carryover, cumulative inventory, SAR buffer, cursor. The
-	// landing between sorties swaps the battery, so a dark relay comes
-	// back powered (and unlocked — PLLs lose state in a brown-out).
-	carry := e.extractCarryover(d)
+	// The landing between sorties swaps the battery, so a dark relay
+	// comes back powered (and unlocked — PLLs lose state in a brown-out).
+	carry := e.extractCarryover(s.d)
 	if !carry.RelayPowered {
 		carry.RelayPowered = true
 		carry.RelayLocked = false
 	}
-	if coord != nil {
-		st := coord.State()
+	if s.coord != nil {
+		st := s.coord.State()
 		st.LandAndSwap()
 		carry.Swarm = st
 	}
@@ -902,48 +943,49 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 	for i, n := range res.TagReads {
 		e.tagReads[i] += n
 	}
-	e.sar = append(e.sar, newSAR...)
-	if e.solver != nil && len(newSAR) > 0 {
+	if e.solver != nil && len(s.newSAR) > 0 {
 		// Integrate the committed captures into the streaming grid. Batch
 		// boundaries do not affect the bits (cells accumulate in
 		// measurement order either way), so the grid always equals a
-		// single batch solve over e.sar — the invariant the checkpoint
-		// codec and ResultCtx rely on. AddBatch integrates whole even on a
-		// cancelled ctx, so a commit can never be half-applied.
-		e.solver.AddBatch(ctx, newSAR)
+		// single batch solve over the capture log's records — the
+		// invariant the checkpoint codec and ResultCtx rely on. AddBatch
+		// integrates whole even on a cancelled ctx, so a commit can never
+		// be half-applied.
+		e.solver.AddBatch(ctx, s.newSAR)
 	}
-	if e.capLog != nil && len(pending) > 0 {
+	if e.capLog != nil && len(s.pending) > 0 {
 		// Seal the sortie's capture segment. The segment boundary IS the
 		// solver's batch boundary, so a replay of the log re-feeds the
 		// stream exactly as the live mission did.
-		e.capLog.AppendSegmentCtx(ctx, e.cur+1, pending)
+		e.capLog.AppendSegmentCtx(ctx, e.cur+1, s.pending)
 	}
 	e.results = append(e.results, res)
 	e.cur++
-	return res, nil
+	return res
 }
 
-// sarPass flies a short aperture line through the relay's plan position
-// and captures the first tag's disentangled channels. sink, when
-// non-nil, receives each usable point's disentangled measurement the
+// landingPass is the end-of-sortie SAR pass ("runtime.sar_pass"): it
+// flies a short aperture line through the relay's plan position and
+// captures the first tag's disentangled channels. sink, when non-nil,
+// receives each usable point's disentangled measurement the
 // moment it is captured (the capture-log staging path); the stream
 // carries the same bits as the returned capture.
-func (e *Engine) sarPass(ctx context.Context, d *sim.Deployment, tg *tag.Tag, sortieSeed uint64, sink func(loc.Measurement)) (*sim.SARCapture, error) {
+func (e *Engine) landingPass(ctx context.Context, d *sim.Deployment, tg *tag.Tag, sortieSeed uint64, sink func(loc.Measurement)) (*sim.SARCapture, error) {
 	ctx, span := obs.StartSpan(ctx, "runtime.sar_pass")
 	defer span.End()
-	flight, err := e.sarFlight(ctx, sortieSeed)
+	flight, err := e.apertureFlight(ctx, sortieSeed)
 	if err != nil {
 		return nil, err
 	}
 	return d.CollectSARCtx(ctx, flight, tg, nil, sink)
 }
 
-// sarFlight plans and flies the sortie's aperture line (a ±1 m pass
+// apertureFlight plans and flies the sortie's aperture line (a ±1 m pass
 // through the sortie's relay station). The flight draws from the same
 // named split of the sortie seed whether the capture happens
 // end-of-sortie or in-loop, so both capture paths see identical
 // trajectories.
-func (e *Engine) sarFlight(ctx context.Context, sortieSeed uint64) (drone.Flight, error) {
+func (e *Engine) apertureFlight(ctx context.Context, sortieSeed uint64) (drone.Flight, error) {
 	n := e.cfg.SARPointsPerSortie
 	st := e.cfg.station(e.cur)
 	p0 := geom.P(st.X-1.0, st.Y, st.Z)

@@ -92,7 +92,7 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 		if err := e.RunSorties(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
-		snap := e.Snapshot()
+		snap := e.SnapshotCtx(context.Background())
 		// The original engine is abandoned here — the "process died".
 		e2, err := Restore(cfg, snap)
 		if err != nil {
@@ -125,7 +125,7 @@ func TestMidSortieCancelReplays(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	snap := e.SnapshotCtx(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := false
@@ -202,7 +202,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	snap := e.SnapshotCtx(context.Background())
 
 	if _, err := Restore(cfg, snap); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)

@@ -193,19 +193,14 @@ func (s *Supervisor) probe(d *sim.Deployment) Health {
 	return h
 }
 
-// Tick runs one supervision step: probe, and if the link is sick, climb
-// the ladder subject to the breaker. swapDelayTicks and stationKeepStepM
-// come from the mission config (they are properties of the airframe and
-// ground crew, not of the escalation policy).
-func (s *Supervisor) Tick(d *sim.Deployment, wd *relay.Watchdog, swapDelayTicks int, stationKeepStepM float64) Health {
-	return s.TickCtx(context.Background(), d, wd, swapDelayTicks, stationKeepStepM)
-}
-
-// TickCtx is Tick with flight-recorder instrumentation: every unhealthy
-// tick that reaches the escalation ladder records a "runtime.escalation"
-// span (nested under the sortie span when the engine is being traced)
-// covering the recovery rungs, with the probe state and outcome as
-// attributes. The escalation policy itself is identical to Tick.
+// TickCtx runs one supervision step: probe, and if the link is sick,
+// climb the ladder subject to the breaker. swapDelayTicks and
+// stationKeepStepM come from the mission config (they are properties of
+// the airframe and ground crew, not of the escalation policy). Every
+// unhealthy tick that reaches the escalation ladder records a
+// "runtime.escalation" span (nested under the sortie span when the
+// engine is being traced) covering the recovery rungs, with the probe
+// state and outcome as attributes.
 func (s *Supervisor) TickCtx(ctx context.Context, d *sim.Deployment, wd *relay.Watchdog, swapDelayTicks int, stationKeepStepM float64) Health {
 	h := s.probe(d)
 	if h.Healthy {

@@ -168,12 +168,12 @@ func TestSwarmCheckpointResume(t *testing.T) {
 	if err := e.RunSorties(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot()
+	snap := e.SnapshotCtx(context.Background())
 	re, err := Restore(cfg, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(re.Snapshot(), snap) {
+	if !bytes.Equal(re.SnapshotCtx(context.Background()), snap) {
 		t.Fatal("restored engine re-encodes a different checkpoint")
 	}
 	if _, err := re.Run(context.Background()); err != nil {

@@ -183,12 +183,12 @@ func TestTraceDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := [][]byte{e.Snapshot()}
+	plain := [][]byte{e.SnapshotCtx(context.Background())}
 	for e.SortiesDone() < testConfig(7).Sorties {
 		if _, err := e.RunSortie(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		plain = append(plain, e.Snapshot())
+		plain = append(plain, e.SnapshotCtx(context.Background()))
 	}
 	for i := range plain {
 		if !bytes.Equal(plain[i], ckptA[i]) {

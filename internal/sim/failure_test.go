@@ -27,7 +27,7 @@ func TestSARWithOptiTrackDropouts(t *testing.T) {
 	ot := drone.DefaultOptiTrack()
 	ot.FieldOfView = func(p geom.Point) bool { return p.X <= 2.0 } // last meter invisible
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 45)
-	flight := drone.Bebop2().Fly(plan, ot, rng.New(60).Split("flight"))
+	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, ot, rng.New(60).Split("flight"))
 	if len(flight.True) >= 45 {
 		t.Fatal("FoV restriction did not drop points")
 	}
@@ -53,7 +53,7 @@ func TestSARTotalTrackingLossFails(t *testing.T) {
 	ot := drone.DefaultOptiTrack()
 	ot.FieldOfView = func(geom.Point) bool { return false }
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 20)
-	flight := drone.Bebop2().Fly(plan, ot, rng.New(61))
+	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, ot, rng.New(61))
 	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil); err == nil {
 		t.Fatal("SAR succeeded with zero tracked points")
 	}
@@ -66,7 +66,7 @@ func TestRelayFailureMidFlightShrinksCaptures(t *testing.T) {
 	d := openDeployment(true, geom.P2(-12, 1), geom.P2(0, 0), 62)
 	tg := d.AddTag(epc.NewEPC96(0x62, 0, 0, 0, 0, 0), geom.P(1.5, 2, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 30)
-	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), rng.New(62).Split("f"))
+	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(62).Split("f"))
 	full, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDeadZoneMidFlight(t *testing.T) {
 		RelayPos: geom.P2(0, 0)}, 63)
 	tg := d.AddTag(epc.NewEPC96(0x63, 0, 0, 0, 0, 0), geom.P(2.5, 2, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3.5, 0, 0.8), 40)
-	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), rng.New(63).Split("f"))
+	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(63).Split("f"))
 	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -145,7 +146,7 @@ func (d *Deployment) ApplyFault(ev fault.Event) error {
 			DutyCycle:     1,
 			PeriodTicks:   1,
 		}
-		if err := d.AddJammer(jam); err != nil {
+		if err := d.AddJammerCtx(context.Background(), jam); err != nil {
 			return err
 		}
 		if d.faultJam == nil {

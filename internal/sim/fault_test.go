@@ -5,6 +5,7 @@ package sim
 // event window, and each recovery hook must actually restore service.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestSynthDriftPersistsAndRelockHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		wd.Tick(d)
+		wd.TickCtx(context.Background(), d)
 	}
 	if !d.RelayLockHealthy() || d.Relay.CFOHz() != 0 {
 		t.Fatalf("watchdog did not heal drift: healthy=%v cfo=%v",
@@ -144,7 +145,7 @@ func TestBatterySagUnlocksAndSwapNeedsRelock(t *testing.T) {
 	}
 	wd, _ := relay.NewWatchdog(d.Relay, relay.WatchdogConfig{})
 	for i := 0; i < 6; i++ {
-		wd.Tick(d)
+		wd.TickCtx(context.Background(), d)
 	}
 	if !d.RelayLockHealthy() {
 		t.Fatal("watchdog did not re-acquire after the swap")
@@ -197,7 +198,7 @@ func TestCarrierHopStaleLockUntilResweep(t *testing.T) {
 	}
 	wd, _ := relay.NewWatchdog(d.Relay, relay.WatchdogConfig{})
 	for i := 0; i < 8; i++ {
-		wd.Tick(d)
+		wd.TickCtx(context.Background(), d)
 	}
 	if !d.RelayLockHealthy() {
 		t.Fatal("watchdog did not chase the hop")
@@ -281,7 +282,7 @@ func TestBrownOutClearsS0Only(t *testing.T) {
 	d.SetRelayPowered(true)
 	wd, _ := relay.NewWatchdog(d.Relay, relay.WatchdogConfig{})
 	for i := 0; i < 6; i++ {
-		wd.Tick(d)
+		wd.TickCtx(context.Background(), d)
 	}
 	if b := d.LinkBudget(tg); !b.Powered {
 		t.Fatalf("tag not repowered after swap: %+v", b)

@@ -18,13 +18,9 @@ import (
 // jammed band), they are duty-cycled against a scenario tick, and a
 // strong enough jammer steals the relay's strongest-carrier lock.
 
-// AddJammer validates and registers a hostile emitter.
-func (d *Deployment) AddJammer(j world.Jammer) error {
-	return d.AddJammerCtx(context.Background(), j)
-}
-
-// AddJammerCtx is AddJammer under an obs span ("jam.apply") so traced
-// scenarios record when and what adversarial RF switched on.
+// AddJammerCtx validates and registers a hostile emitter under an obs
+// span ("jam.apply") so traced scenarios record when and what
+// adversarial RF switched on.
 func (d *Deployment) AddJammerCtx(ctx context.Context, j world.Jammer) error {
 	_, span := obs.StartSpan(ctx, "jam.apply")
 	defer span.End()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestJammerDegradesSINR(t *testing.T) {
 		Pos: geom.P(8, 1.5, 1.2), TxPowerDBm: -10, AntennaGainDB: 2,
 		BandArea: 0, DutyCycle: 1, PeriodTicks: 1,
 	}
-	if err := d.AddJammer(jam); err != nil {
+	if err := d.AddJammerCtx(context.Background(), jam); err != nil {
 		t.Fatal(err)
 	}
 	jb := d.LinkBudget(d.Tags[0])
@@ -45,7 +46,7 @@ func TestJammerDegradesSINR(t *testing.T) {
 	d2, base2 := jamTestDeployment(t, 7)
 	spot := jam
 	spot.BandArea = 1
-	if err := d2.AddJammer(spot); err != nil {
+	if err := d2.AddJammerCtx(context.Background(), spot); err != nil {
 		t.Fatal(err)
 	}
 	sb := d2.LinkBudget(d2.Tags[0])
@@ -63,7 +64,7 @@ func TestJammerDutyCycleGating(t *testing.T) {
 		Pos: geom.P(8, 1.5, 1.2), TxPowerDBm: -10, AntennaGainDB: 2,
 		BandArea: 0, DutyCycle: 0.5, PeriodTicks: 4,
 	}
-	if err := d.AddJammer(jam); err != nil {
+	if err := d.AddJammerCtx(context.Background(), jam); err != nil {
 		t.Fatal(err)
 	}
 	d.SetJamTick(0) // first half of the period: radiating
@@ -89,7 +90,7 @@ func TestJammerStealsRelayLock(t *testing.T) {
 		Pos: geom.P(14.5, 1.5, 1.5), TxPowerDBm: 30, AntennaGainDB: 2,
 		BandArea: 0, DutyCycle: 1, PeriodTicks: 1,
 	}
-	if err := d.AddJammer(jam); err != nil {
+	if err := d.AddJammerCtx(context.Background(), jam); err != nil {
 		t.Fatal(err)
 	}
 	if d.RelayLockOK() {

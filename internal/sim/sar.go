@@ -162,22 +162,18 @@ func (d *Deployment) ReadAttempt(t *tag.Tag) bool {
 		d.Reader.DrawDecodeSuccess(bud.SNRdB, 128)
 }
 
-// ReadAttemptRetry is ReadAttempt under a retry policy: a failed attempt
-// is re-tried up to pol.MaxRetries times, with onIdle invoked for the
-// backoff gap before each retry (the fault experiments advance their
+// ReadAttemptRetryCtx is ReadAttempt under a retry policy: a failed
+// attempt is re-tried up to pol.MaxRetries times, with onIdle invoked for
+// the backoff gap before each retry (the fault experiments advance their
 // injector/watchdog timeline there; nil is fine). Fresh shadowing and
 // decode draws per attempt are what make retrying worthwhile — most
 // outages a drone relay sees are shorter than a round.
-func (d *Deployment) ReadAttemptRetry(t *tag.Tag, pol reader.RetryPolicy, onIdle func(slots int)) bool {
-	ok, _ := d.ReadAttemptRetryCtx(context.Background(), t, pol, onIdle)
-	return ok
-}
-
-// ReadAttemptRetryCtx is ReadAttemptRetry under a deadline: no further
-// retry is launched once ctx expires (the attempt in flight is atomic —
-// a single budget evaluation — so there is nothing to interrupt). A
-// cancelled exchange reports false with ctx's error so callers can tell
-// "the tag is unreadable" from "we ran out of time trying".
+//
+// No further retry is launched once ctx expires (the attempt in flight is
+// atomic — a single budget evaluation — so there is nothing to
+// interrupt). A cancelled exchange reports false with ctx's error so
+// callers can tell "the tag is unreadable" from "we ran out of time
+// trying".
 func (d *Deployment) ReadAttemptRetryCtx(ctx context.Context, t *tag.Tag, pol reader.RetryPolicy, onIdle func(slots int)) (bool, error) {
 	backoff := pol.BackoffSlots
 	if backoff <= 0 {

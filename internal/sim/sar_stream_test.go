@@ -23,7 +23,7 @@ func TestCollectSARStreamMatchesBatch(t *testing.T) {
 	tg := d.AddTag(epc.NewEPC96(9, 0, 0, 0, 0, 0), tagPos)
 
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
-	flight := drone.Bebop2().Fly(plan, drone.DefaultOptiTrack(), d.src.Split("flight"))
+	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), d.src.Split("flight"))
 
 	cfg := loc.DefaultConfig(d.Model.Freq)
 	cfg.Region = &loc.Region{X0: -2, Y0: 0.3, X1: 5, Y1: 5}
@@ -32,7 +32,7 @@ func TestCollectSARStreamMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil,
-		func(m loc.Measurement) { solver.Add(m) })
+		func(m loc.Measurement) { solver.AddBatch(context.Background(), []loc.Measurement{m}) })
 	if err != nil {
 		t.Fatal(err)
 	}

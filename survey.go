@@ -80,7 +80,8 @@ func (s *System) Survey(plan Trajectory, opts SurveyOptions) (*SurveyReport, err
 		opts.RoundsPerPoint = 2
 	}
 
-	flight := s.opts.Platform.Fly(plan, drone.DefaultOptiTrack(),
+	// FlyCtx fails only when its ctx ends, which a background ctx never does.
+	flight, _ := s.opts.Platform.FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(),
 		rng.New(s.opts.Seed).Split("survey-flight"))
 
 	type capture struct {
