@@ -493,7 +493,7 @@ func service(seed uint64, csvDir string) {
 	fmt.Printf("%d requests flew as %d sorties on %d shards (mean batch %.2f, %d requests shared a sortie)\n",
 		sum.Requests, sum.Batches, sum.Shards, sum.MeanBatchSize, sum.BatchedRequests)
 	fmt.Println("admission settles before the shards start, so the coalescing here is")
-	fmt.Println("deterministic — the serving benchmark (rfly-load) measures the same")
+	fmt.Println("deterministic — the mission benchmark (bench/) measures the same")
 	fmt.Println("layer under open-loop pressure instead")
 	if csvDir != "" {
 		writeCSV(csvDir, "service.csv", sum.CSV())

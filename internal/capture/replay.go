@@ -15,7 +15,7 @@ import (
 // exactly the per-sortie-commit batches the engine fed its solver, in
 // order, and (b) loc.StreamSolver accumulates each grid cell in
 // measurement order regardless of batch chopping or worker count (the
-// equivalence the perf harness gates). Replayed with different
+// equivalence loc's TestParallelLocalizeBitIdentical gates). Replayed with different
 // grid/robustness settings it answers the paper's Fig. 12 question —
 // how would this flight have solved under other parameters — in
 // milliseconds instead of a full sim re-run.

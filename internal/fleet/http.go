@@ -17,8 +17,8 @@ import (
 )
 
 // HTTP/JSON front end. cmd/rfly-serve mounts this handler; it lives in
-// the package so the API tests (and rfly-load's in-process spawn mode)
-// exercise exactly the bytes the daemon serves.
+// the package so the API tests (and the mission benchmark's in-process
+// stack) exercise exactly the bytes the daemon serves.
 //
 //	POST   /v1/missions                 submit (202, or 429 + Retry-After, or 503 draining)
 //	GET    /v1/missions/{id}            poll a mission record (includes a live

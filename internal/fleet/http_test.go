@@ -149,6 +149,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", `{"region":"dock","tags":[{"id":1,"x":1,"y":1,"z":1}],"warp":9}`},
 		{"negative deadline", `{"region":"dock","tags":[{"id":1,"x":1,"y":1,"z":1}],"deadline_ms":-5}`},
 		{"malformed json", `{"region":`},
+		{"channel below band", `{"region":"corridor-east","tags":[{"id":1,"x":1,"y":1,"z":1}],"sar_points":8,"seed":3,"channel_hz":1}`},
+		{"channel above band", `{"region":"corridor-east","tags":[{"id":1,"x":1,"y":1,"z":1}],"sar_points":8,"seed":3,"channel_hz":1e300}`},
+		{"negative channel", `{"region":"corridor-east","tags":[{"id":1,"x":1,"y":1,"z":1}],"sar_points":8,"seed":3,"channel_hz":-5}`},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/missions", "application/json", bytes.NewReader([]byte(tc.body)))

@@ -7,8 +7,8 @@
 // warehouse region, same channel plan — into one sortie so the
 // expensive flight and SAR solve are amortized across tenants; and a
 // fixed pool of shard workers, each owning exactly one mission engine
-// at a time, flies the batches. cmd/rfly-serve fronts
-// the scheduler with an HTTP/JSON API and cmd/rfly-load drives it.
+// at a time, flies the batches. cmd/rfly-serve fronts the scheduler
+// with an HTTP/JSON API.
 package fleet
 
 import (
@@ -63,6 +63,12 @@ var Regions = map[string]Region{
 // DefaultChannelHz is the channel plan used when a request leaves it
 // unset (US band center, matching loc.DefaultConfig's carrier).
 const DefaultChannelHz = 915e6
+
+// The UHF RFID band a request's channel plan must fall in.
+const (
+	minChannelHz = 860e6
+	maxChannelHz = 960e6
+)
 
 // Request is one tenant's inventory ask.
 type Request struct {
@@ -122,6 +128,11 @@ func (r Request) validate(maxTags int) error {
 	}
 	if maxTags > 0 && len(r.Tags) > maxTags {
 		return fmt.Errorf("fleet: request has %d tags, limit is %d", len(r.Tags), maxTags)
+	}
+	// Written so that NaN fails too.
+	if r.ChannelHz != 0 && !(r.ChannelHz >= minChannelHz && r.ChannelHz <= maxChannelHz) {
+		return fmt.Errorf("fleet: channel_hz %g outside the UHF RFID band [%g, %g] (0 = default)",
+			r.ChannelHz, minChannelHz, maxChannelHz)
 	}
 	if r.SARPoints < 0 || r.SARPoints > 64 {
 		return fmt.Errorf("fleet: sar_points %d out of range [0,64]", r.SARPoints)

@@ -9,8 +9,8 @@
 //     End() pushes an immutable SpanRecord into the Recorder the context
 //     carries. When no Recorder is attached — the default everywhere —
 //     StartSpan returns a nil *Span whose methods are no-ops, and the
-//     whole call is a single context lookup (a few ns, benchmarked in
-//     internal/perf). Nothing on a hot path pays for tracing it did not
+//     whole call is a single context lookup (a few ns, measured by
+//     cmd/rfly-bench). Nothing on a hot path pays for tracing it did not
 //     ask for.
 //
 //   - The flight recorder. A Recorder is a fixed-capacity ring buffer of
@@ -71,8 +71,9 @@ func RecorderFrom(ctx context.Context) *Recorder {
 //	ctx, sp := obs.StartSpan(ctx, "loc.solve")
 //	defer sp.End()
 //
-// The disabled path is one context lookup and no allocation; its
-// overhead is pinned by the internal/perf benchmark (≤25 ns/op gate).
+// The disabled path is one context lookup and no allocation; its cost
+// is measured by cmd/rfly-bench (≤25 ns/op budget) and its allocation
+// count is pinned by TestDisabledPathIsNoop.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	sc, ok := ctx.Value(ctxKey{}).(*spanCtx)
 	if !ok || sc.rec == nil {

@@ -26,6 +26,16 @@ func TestDisabledPathIsNoop(t *testing.T) {
 	if RecorderFrom(ctx) != nil {
 		t.Fatal("RecorderFrom on a bare context must be nil")
 	}
+	// The disabled span is left in the hot chain permanently, so it must
+	// not allocate.
+	allocs := testing.AllocsPerRun(100, func() {
+		_, s := StartSpan(ctx, "sim.read")
+		s.Int("attempts", 1)
+		s.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled StartSpan+Int+End: %v allocs/op, want 0", allocs)
+	}
 }
 
 func TestSpanRecordingAndTree(t *testing.T) {

@@ -110,6 +110,21 @@ func TestForwardDownlinkShiftsAndFilters(t *testing.T) {
 	}
 }
 
+// TestForwardDownlinkAllocs pins the pooled forwarding path: a sortie
+// tick allocates only the output buffer it returns.
+func TestForwardDownlinkAllocs(t *testing.T) {
+	r := newTestRelay(1)
+	tone := signal.Tone(4096, 50e3, r.Cfg.Fs, 0, 1e-3)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := r.ForwardDownlink(tone, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("ForwardDownlink n=4096: %v allocs/op, want 1", got)
+	}
+}
+
 func TestForwardUplinkPassesBLF(t *testing.T) {
 	r := newTestRelay(5)
 	fs := r.Cfg.Fs

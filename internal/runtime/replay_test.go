@@ -10,16 +10,21 @@ import (
 )
 
 // replayVsLive runs one full mission, replays its capture log at the
-// live settings, and requires the replayed solve to be bit-identical to
-// the engine's own streaming solve.
-func replayVsLive(t *testing.T, cfg Config) {
+// live settings across worker counts, and requires every replayed solve
+// to be bit-identical to the engine's own streaming solve, to the
+// mission result's location, and to the last estimate EstimateSink
+// published. It returns the mission result.
+func replayVsLive(t *testing.T, cfg Config) MissionResult {
 	t.Helper()
 	ctx := context.Background()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(ctx); err != nil {
+	var last *LiveEstimate
+	e.EstimateSink = func(est LiveEstimate) { last = &est }
+	res, err := e.Run(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	logBytes := e.CaptureLog()
@@ -28,33 +33,63 @@ func replayVsLive(t *testing.T, cfg Config) {
 	}
 
 	want, liveErr := e.solver.Snapshot(ctx)
-	got, err := capture.Replay(ctx, logBytes, capture.LiveOptions())
-	if liveErr != nil {
-		// Too few kept captures to solve: the replay must agree that
-		// there is nothing to solve.
-		if err == nil {
-			t.Fatalf("live solve failed (%v) but replay produced an estimate", liveErr)
+	for _, workers := range []int{0, 1, 3} {
+		opts := capture.LiveOptions()
+		opts.Workers = workers
+		got, err := capture.Replay(ctx, logBytes, opts)
+		if liveErr != nil {
+			// Too few kept captures to solve: the replay must agree that
+			// there is nothing to solve.
+			if err == nil {
+				t.Fatalf("workers=%d: live solve failed (%v) but replay produced an estimate", workers, liveErr)
+			}
+			continue
 		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("replay of live log: %v", err)
-	}
-	for name, pair := range map[string][2]float64{
-		"x":       {got.Location.X, want.Location.X},
-		"y":       {got.Location.Y, want.Location.Y},
-		"peak":    {got.Peak, want.Peak},
-		"sigma_x": {got.SigmaX, want.SigmaX},
-		"sigma_y": {got.SigmaY, want.SigmaY},
-	} {
-		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-			t.Errorf("seed %d %s: replay %v != live %v (bits differ)", cfg.Seed, name, pair[0], pair[1])
+		if err != nil {
+			t.Fatalf("workers=%d: replay of live log: %v", workers, err)
+		}
+		for name, pair := range map[string][2]float64{
+			"x":       {got.Location.X, want.Location.X},
+			"y":       {got.Location.Y, want.Location.Y},
+			"peak":    {got.Peak, want.Peak},
+			"sigma_x": {got.SigmaX, want.SigmaX},
+			"sigma_y": {got.SigmaY, want.SigmaY},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Errorf("seed %d workers=%d %s: replay %v != live %v (bits differ)", cfg.Seed, workers, name, pair[0], pair[1])
+			}
+		}
+		if got.Total != want.Total || got.Kept != want.Kept {
+			t.Errorf("seed %d workers=%d aperture accounting: replay %d/%d != live %d/%d",
+				cfg.Seed, workers, got.Kept, got.Total, want.Kept, want.Total)
+		}
+		if !res.LocOK || got.Location.X != res.LocX || got.Location.Y != res.LocY {
+			t.Errorf("seed %d workers=%d: replay location (%v,%v) != mission result (%v,%v) ok=%v",
+				cfg.Seed, workers, got.Location.X, got.Location.Y, res.LocX, res.LocY, res.LocOK)
+		}
+		if last == nil {
+			t.Fatalf("seed %d: solvable mission published no live estimate", cfg.Seed)
+		}
+		if math.Float64bits(got.SigmaX) != math.Float64bits(last.SigmaX) ||
+			math.Float64bits(got.SigmaY) != math.Float64bits(last.SigmaY) ||
+			math.Float64bits(got.Peak) != math.Float64bits(last.Peak) ||
+			got.Total != last.Total || got.Kept != last.Kept {
+			t.Errorf("seed %d workers=%d: replay {sx=%v sy=%v peak=%v %d/%d} != last live estimate {sx=%v sy=%v peak=%v %d/%d}",
+				cfg.Seed, workers, got.SigmaX, got.SigmaY, got.Peak, got.Kept, got.Total,
+				last.SigmaX, last.SigmaY, last.Peak, last.Kept, last.Total)
 		}
 	}
-	if got.Total != want.Total || got.Kept != want.Kept {
-		t.Errorf("seed %d aperture accounting: replay %d/%d != live %d/%d",
-			cfg.Seed, got.Kept, got.Total, want.Kept, want.Total)
-	}
+	return res
+}
+
+// shortSARConfig is a fault-free default mission cut short: two 16-tick
+// sorties with six SAR captures each.
+func shortSARConfig() Config {
+	cfg := DefaultConfig(99)
+	cfg.Sorties = 2
+	cfg.TicksPerSortie = 16
+	cfg.SARPointsPerSortie = 6
+	return cfg
 }
 
 // TestReplayBitIdenticalToLiveMission is the ISSUE's acceptance gate:
@@ -67,6 +102,15 @@ func TestReplayBitIdenticalToLiveMission(t *testing.T) {
 	}
 	replayVsLive(t, swarmConfig(3))
 	replayVsLive(t, killAt(swarmConfig(7), 45))
+}
+
+// TestReplayEquivalence replays the short fault-free mission, whose
+// aperture is large enough to localize, so every replay-vs-live check
+// runs rather than the "nothing to solve" branch.
+func TestReplayEquivalence(t *testing.T) {
+	if res := replayVsLive(t, shortSARConfig()); !res.LocOK {
+		t.Fatal("short SAR mission did not localize")
+	}
 }
 
 // TestReplayChangedGridFromMissionLog: a real mission's log re-solves

@@ -9,8 +9,8 @@ import (
 // This file is the fast-path convolution engine: an iterative radix-2
 // complex FFT plus overlap-save block convolution. FIR.Apply routes long
 // filters over long buffers through it; the direct form stays authoritative
-// (ApplyDirect) and the two are cross-checked to ≤1e-9 by the perf harness
-// and the package tests.
+// (ApplyDirect) and the two are cross-checked to ≤1e-9 by the package
+// tests.
 
 // fftPlan holds the twiddle factors for one power-of-two transform size.
 // Plans are immutable after construction and shared across goroutines.
@@ -117,7 +117,7 @@ func IFFT(x []complex128) ([]complex128, error) {
 // Convolution path selection: the FFT path wins once the per-output cost
 // of the direct form (≈4·taps flops) exceeds the amortized butterfly cost
 // of overlap-save blocks. The thresholds are calibrated by
-// internal/perf's convolution benchmarks; below them the direct form's
+// BenchmarkConvolution; below them the direct form's
 // tight loop is faster and allocation-free.
 const (
 	fftMinTaps = 48

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -102,6 +103,24 @@ func TestOverlapSaveMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestConvolutionEquivalence holds the auto-selected Apply, which takes
+// the overlap-save path at the relay's LPF/BPF tap counts over capture
+// sized buffers (including one that is not a whole number of blocks), to
+// ≤1e-9 max abs error against ApplyDirect.
+func TestConvolutionEquivalence(t *testing.T) {
+	seed := uint64(41)
+	for _, taps := range []int{63, 95} {
+		f := LowPass(250e3, DefaultSampleRate, taps)
+		for _, n := range []int{4096, 16384, 20000} {
+			x := randomIQ(n, seed)
+			seed++
+			if e := maxAbsErr(f.Apply(x), f.ApplyDirect(x)); e > 1e-9 {
+				t.Fatalf("taps=%d n=%d: FFT vs direct max error %g > 1e-9", taps, n, e)
+			}
+		}
+	}
+}
+
 func TestApplyRoutesThroughFFTPath(t *testing.T) {
 	if !useFFT(63, 4096) || !useFFT(95, 16384) {
 		t.Fatal("long-filter long-buffer cases must take the FFT path")
@@ -117,6 +136,20 @@ func TestApplyRoutesThroughFFTPath(t *testing.T) {
 	}
 }
 
+// naiveBinPower is the single-bin DFT sum GoertzelPower replaced: one
+// complex rotation per sample. It is the reference for the Goertzel
+// cross-check and its benchmark.
+func naiveBinPower(x []complex128, freq, fs float64) float64 {
+	w := -2 * math.Pi * freq / fs
+	var acc complex128
+	for i, v := range x {
+		s, c := math.Sincos(w * float64(i))
+		acc += v * complex(c, s)
+	}
+	n := float64(len(x))
+	return (real(acc)*real(acc) + imag(acc)*imag(acc)) / (n * n)
+}
+
 // TestGoertzelMatchesDirectBin cross-checks the second-order Goertzel
 // recurrence against the naive single-bin DFT sum it replaced, on and off
 // the bin grid.
@@ -125,16 +158,44 @@ func TestGoertzelMatchesDirectBin(t *testing.T) {
 	x := randomIQ(3000, 21)
 	Add(x, Tone(3000, 150e3, fs, 0.4, 2))
 	for _, freq := range []float64{0, 100e3, 150e3, 333.3e3, -700e3} {
-		var acc complex128
-		for i, v := range x {
-			acc += v * cmplx.Rect(1, -2*math.Pi*freq*float64(i)/fs)
-		}
-		n := float64(len(x))
-		want := (real(acc)*real(acc) + imag(acc)*imag(acc)) / (n * n)
+		want := naiveBinPower(x, freq, fs)
 		got := GoertzelPower(x, freq, fs)
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("freq %v: goertzel %g vs direct %g", freq, got, want)
 		}
+	}
+}
+
+// TestNaiveBinMatchesGoertzel holds the benchmark's naive reference to
+// GoertzelPower on pure noise, so BenchmarkGoertzel times two routines
+// that compute the same number.
+func TestNaiveBinMatchesGoertzel(t *testing.T) {
+	x := randomIQ(2048, 17)
+	for _, freq := range []float64{0, 120e3, 300e3, -450e3} {
+		a := naiveBinPower(x, freq, DefaultSampleRate)
+		b := GoertzelPower(x, freq, DefaultSampleRate)
+		if math.Abs(a-b) > 1e-9*(1+a) {
+			t.Fatalf("freq %v: naive %g vs goertzel %g", freq, a, b)
+		}
+	}
+}
+
+// TestHotPathAllocs pins the allocation counts the relay chain relies
+// on: the overlap-save convolver at the relay's LPF/BPF tap counts and
+// the Goertzel sweep allocate nothing per call once warm.
+func TestHotPathAllocs(t *testing.T) {
+	const n = 16384
+	x := randomIQ(n, 5)
+	dst := make([]complex128, n)
+	for _, taps := range []int{63, 95} {
+		f := LowPass(250e3, DefaultSampleRate, taps)
+		f.ApplyInto(dst, x) // warm-up: builds and caches the FFT plan and kernel spectrum
+		if got := testing.AllocsPerRun(20, func() { f.ApplyInto(dst, x) }); got != 0 {
+			t.Errorf("ApplyInto taps=%d n=%d: %v allocs/op, want 0", taps, n, got)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { GoertzelPower(x, 300e3, DefaultSampleRate) }); got != 0 {
+		t.Errorf("GoertzelPower n=%d: %v allocs/op, want 0", n, got)
 	}
 }
 
@@ -214,4 +275,43 @@ func TestIQPoolReuse(t *testing.T) {
 		}
 	}
 	PutIQ(b)
+}
+
+// BenchmarkConvolution times the direct form against the overlap-save
+// path at the relay's LPF/BPF tap counts over a representative capture
+// block.
+func BenchmarkConvolution(b *testing.B) {
+	for _, taps := range []int{63, 95} {
+		f := LowPass(250e3, DefaultSampleRate, taps)
+		x := randomIQ(16384, uint64(taps))
+		dst := make([]complex128, len(x))
+		b.Run(fmt.Sprintf("direct_taps=%d", taps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.ApplyDirect(x)
+			}
+		})
+		b.Run(fmt.Sprintf("fft_taps=%d", taps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.ApplyInto(dst, x)
+			}
+		})
+	}
+}
+
+// BenchmarkGoertzel times the single-bin power: the naive complex
+// rotation per sample against the second-order real recurrence.
+func BenchmarkGoertzel(b *testing.B) {
+	x := randomIQ(16384, 5)
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			naiveBinPower(x, 300e3, DefaultSampleRate)
+		}
+	})
+	b.Run("recurrence", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GoertzelPower(x, 300e3, DefaultSampleRate)
+		}
+	})
 }
