@@ -37,8 +37,9 @@ func (l Link) String() string {
 	}
 }
 
-// probeSamples is the capture length for isolation measurements; long
-// enough for narrow Goertzel bins and past the filter transient.
+// probeSamples is the capture length for isolation measurements: the
+// first quarter (the filter transient) is skipped, and the power of the
+// remaining 12,288 samples is the leaked output power.
 const probeSamples = 16384
 
 // MeasureIsolation reproduces the §7.1(a) experiment for one link: inject
@@ -61,28 +62,28 @@ func (r *Relay) MeasureIsolation(link Link, trial *rng.Source) (float64, error) 
 	jitter := trial.Uniform(-5e3, 5e3)
 
 	var probeFreq float64
-	var victim func([]complex128, int) ([]complex128, error)
+	var victim func(dst, x []complex128, startSample int) error
 	var gainDB float64
 	switch link {
 	case InterDownlink:
 		// The uplink's output (a relayed tag response near fA ± 500 kHz)
 		// leaks into the downlink input.
 		probeFreq = fA + 500e3 + jitter
-		victim, gainDB = r.ForwardDownlink, r.DownlinkGainDB()
+		victim, gainDB = r.forwardDownlinkInto, r.DownlinkGainDB()
 	case InterUplink:
 		// The downlink's output (the relayed query near fB) leaks into the
 		// uplink input.
 		probeFreq = fB + 50e3 + jitter
-		victim, gainDB = r.ForwardUplink, r.UplinkGainDB()
+		victim, gainDB = r.forwardUplinkInto, r.UplinkGainDB()
 	case IntraDownlink:
 		// The downlink's own output near fB feeds back into its input.
 		probeFreq = fB + 50e3 + jitter
-		victim, gainDB = r.ForwardDownlink, r.DownlinkGainDB()
+		victim, gainDB = r.forwardDownlinkInto, r.DownlinkGainDB()
 	case IntraUplink:
 		// The uplink's own output near fA ± 500 kHz feeds back into its
 		// input.
 		probeFreq = fA + 500e3 + jitter
-		victim, gainDB = r.ForwardUplink, r.UplinkGainDB()
+		victim, gainDB = r.forwardUplinkInto, r.UplinkGainDB()
 	default:
 		return 0, fmt.Errorf("relay: unknown link %d", link)
 	}
@@ -91,17 +92,20 @@ func (r *Relay) MeasureIsolation(link Link, trial *rng.Source) (float64, error) 
 	// the PA stays linear (isolation is a small-signal property).
 	probeDBm := trial.Uniform(-20, 0)
 	probePower := signal.WattsFromDBm(probeDBm)
-	probe := signal.Tone(probeSamples, probeFreq, fs, trial.Phase(), math.Sqrt(probePower))
+	// The probe buffer doubles as the victim's output: the forward reads
+	// its input only in the first mix, so one pooled buffer serves both.
+	buf := signal.GetIQ(probeSamples)
+	defer signal.PutIQ(buf)
+	signal.ToneInto(buf, probeFreq, fs, trial.Phase(), math.Sqrt(probePower))
 	// Antenna port coupling attenuates the leak before it reaches the
 	// victim's input.
-	signal.Scale(probe, complex(signal.AmpFromDB(-r.antIsoDB), 0))
-	out, err := victim(probe, 0)
-	if err != nil {
+	signal.Scale(buf, complex(signal.AmpFromDB(-r.antIsoDB), 0))
+	if err := victim(buf, buf, 0); err != nil {
 		return 0, err
 	}
 	// Skip the filter transient, then measure total leaked power.
-	skip := len(out) / 4
-	p := signal.Power(out[skip:])
+	skip := len(buf) / 4
+	p := signal.Power(buf[skip:])
 	if p <= 0 {
 		return math.Inf(1), nil
 	}
@@ -237,6 +241,14 @@ func (r *Relay) ProgramGains(iso IsolationReport) GainPlan {
 		upVGA <= iso.IntraUplinkDB-m+1e-9 &&
 		downTotal+upVGA <= loopBudget+1e-9
 	return plan
+}
+
+// InstallGains programs both VGAs to a known plan's settings without
+// deriving it again — how a sortie installs the plan its mission carries
+// instead of re-measuring isolation.
+func (r *Relay) InstallGains(plan GainPlan) {
+	r.DownVGA.SetGainDB(plan.DownVGADB)
+	r.UpVGA.SetGainDB(plan.UpVGADB)
 }
 
 // AutoGain retunes the downlink VGA for the measured input power so the

@@ -310,11 +310,10 @@ func (r *Relay) UplinkGainDB() float64 { return r.upChain().GainDB() }
 
 // addFloor adds the analog filter's high-frequency feed-through in place:
 // the raw input high-passed (leakage grows with frequency), attenuated by
-// floorDB, accumulated onto the filtered buffer. The leak scratch comes
-// from the IQ pool — one forward no longer allocates per pipeline stage.
-func (r *Relay) addFloor(filtered, raw []complex128, floorDB float64) {
-	leak := signal.GetIQ(len(raw))
-	defer signal.PutIQ(leak)
+// floorDB, accumulated onto the filtered buffer. leak is scratch of the
+// same length whose contents are overwritten; the forward passes its own
+// output buffer, which it fills only after the floor is added.
+func (r *Relay) addFloor(filtered, raw, leak []complex128, floorDB float64) {
 	r.floorHPF.ApplyInto(leak, raw)
 	g := complex(signal.AmpFromDB(-floorDB), 0)
 	for i := range filtered {
@@ -344,16 +343,27 @@ func (r *Relay) drifted(s *radio.Synthesizer) (signal.Oscillator, error) {
 // Forwarding before a lock (or after a fault cleared one) is an error,
 // not a panic: a flying relay must survive it.
 func (r *Relay) ForwardDownlink(x []complex128, startSample int) ([]complex128, error) {
+	out := make([]complex128, len(x))
+	if err := r.forwardDownlinkInto(out, x, startSample); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// forwardDownlinkInto is ForwardDownlink writing into dst, which must
+// have x's length and may alias x: x is read only by the first mix, and
+// dst is written (first as the floor's leak scratch) only after it.
+func (r *Relay) forwardDownlinkInto(dst, x []complex128, startSample int) error {
 	if !r.locked {
-		return nil, fmt.Errorf("relay: downlink forward before carrier lock")
+		return fmt.Errorf("relay: downlink forward before carrier lock")
 	}
 	oscA, err := r.drifted(r.SynthA)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	oscB, err := r.drifted(r.SynthB)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bb := signal.GetIQ(len(x))
 	defer signal.PutIQ(bb)
@@ -361,11 +371,10 @@ func (r *Relay) ForwardDownlink(x []complex128, startSample int) ([]complex128, 
 	filt := signal.GetIQ(len(x))
 	defer signal.PutIQ(filt)
 	r.LPF.ApplyInto(filt, bb)
-	r.addFloor(filt, bb, r.lpfFloorDB)
+	r.addFloor(filt, bb, dst, r.lpfFloorDB)
 	r.downChain().Apply(filt, 0, nil)
-	out := make([]complex128, len(x))
-	oscB.MixUpInto(out, filt, r.Cfg.Fs, startSample)
-	return out, nil
+	oscB.MixUpInto(dst, filt, r.Cfg.Fs, startSample)
+	return nil
 }
 
 // ForwardUplink runs a received waveform (tag frame, around the shifted
@@ -375,8 +384,18 @@ func (r *Relay) ForwardDownlink(x []complex128, startSample int) ([]complex128, 
 // used, cancelling their phase offsets; the no-mirror baseline uses the
 // independent second pair.
 func (r *Relay) ForwardUplink(x []complex128, startSample int) ([]complex128, error) {
+	out := make([]complex128, len(x))
+	if err := r.forwardUplinkInto(out, x, startSample); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// forwardUplinkInto is ForwardUplink writing into dst, under the same
+// aliasing rule as forwardDownlinkInto.
+func (r *Relay) forwardUplinkInto(dst, x []complex128, startSample int) error {
 	if !r.locked {
-		return nil, fmt.Errorf("relay: uplink forward before carrier lock")
+		return fmt.Errorf("relay: uplink forward before carrier lock")
 	}
 	downSynth := r.SynthB
 	upSynth := r.SynthA
@@ -386,11 +405,11 @@ func (r *Relay) ForwardUplink(x []complex128, startSample int) ([]complex128, er
 	}
 	downOsc, err := r.drifted(downSynth)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	upOsc, err := r.drifted(upSynth)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bb := signal.GetIQ(len(x))
 	defer signal.PutIQ(bb)
@@ -398,11 +417,10 @@ func (r *Relay) ForwardUplink(x []complex128, startSample int) ([]complex128, er
 	filt := signal.GetIQ(len(x))
 	defer signal.PutIQ(filt)
 	r.BPF.ApplyInto(filt, bb)
-	r.addFloor(filt, bb, r.bpfFloorDB)
+	r.addFloor(filt, bb, dst, r.bpfFloorDB)
 	r.upChain().Apply(filt, 0, nil)
-	out := make([]complex128, len(x))
-	upOsc.MixUpInto(out, filt, r.Cfg.Fs, startSample)
-	return out, nil
+	upOsc.MixUpInto(dst, filt, r.Cfg.Fs, startSample)
+	return nil
 }
 
 // HardwarePhase returns the constant phase the mirrored relay imparts on a

@@ -125,6 +125,23 @@ func TestForwardDownlinkAllocs(t *testing.T) {
 	}
 }
 
+// TestMeasureAllAllocs pins the pooled isolation measurement: each probe
+// tone is synthesized into a pooled buffer that the forward then
+// overwrites with its output, and the floor's leak scratch is that same
+// buffer, so measuring all four links on a locked relay allocates nothing.
+func TestMeasureAllAllocs(t *testing.T) {
+	r := newTestRelay(1)
+	trial := rng.New(2)
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := r.MeasureAll(trial); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("MeasureAll: %v allocs/op, want 0", got)
+	}
+}
+
 func TestForwardUplinkPassesBLF(t *testing.T) {
 	r := newTestRelay(5)
 	fs := r.Cfg.Fs

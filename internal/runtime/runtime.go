@@ -340,6 +340,8 @@ func (r MissionResult) CSV() string {
 // use.
 type Engine struct {
 	cfg Config
+	// cfgHash is cfg.hash(), computed once: every checkpoint carries it.
+	cfgHash uint64
 
 	cur      int // committed sorties
 	carry    Carryover
@@ -420,6 +422,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
+		cfgHash:  cfg.hash(),
 		src:      rng.New(cfg.Seed).Split("mission"),
 		tagReads: make([]uint32, len(cfg.Tags)),
 		carry: Carryover{
@@ -490,14 +493,22 @@ func (e *Engine) SortiesDone() int { return e.cur }
 func (e *Engine) Clock() int64 { return int64(e.cur) * int64(e.cfg.TicksPerSortie) }
 
 // buildDeployment rebuilds sortie state from the config and a sortie
-// seed, then applies the carryover.
+// seed, then applies the carryover. The relay's isolation is measured
+// once per mission, in its first sortie; every later sortie — and every
+// sortie after a Restore — installs the carried isolation and gain plan
+// instead of measuring again.
 func (e *Engine) buildDeployment(seed uint64) (*sim.Deployment, []*tag.Tag) {
+	var cal *sim.Calibration
+	if e.carry.HasIso {
+		cal = &sim.Calibration{Iso: e.carry.Iso, Gains: e.carry.Gains}
+	}
 	d := sim.New(sim.Config{
 		Scene:         world.Corridor(e.cfg.CorridorLengthM, e.cfg.CorridorWidthM),
 		ReaderPos:     e.cfg.ReaderPos,
 		UseRelay:      true,
 		RelayPos:      e.cfg.station(e.cur),
 		ShadowSigmaDB: e.cfg.ShadowSigmaDB,
+		Calibration:   cal,
 	}, seed)
 	tags := make([]*tag.Tag, len(e.cfg.Tags))
 	for i, ts := range e.cfg.Tags {
@@ -514,8 +525,6 @@ func (e *Engine) applyCarryover(d *sim.Deployment) {
 	d.SetReaderCarrierHz(c.ReaderHopHz)
 	if c.HasIso {
 		d.Relay.SetAntennaIsolationDB(c.AntennaIsoDB)
-		d.Iso = c.Iso
-		d.Gains = c.Gains
 	}
 	if c.RelayLocked {
 		d.Relay.Lock(c.RelayReaderFreq)

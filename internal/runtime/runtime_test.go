@@ -111,6 +111,30 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocs pins the checkpoint encoder's allocation count at a
+// mid-mission boundary: the config hash is computed once per engine, and
+// the accumulator grid is appended into one presized buffer instead of
+// growing it by doubling.
+func TestSnapshotAllocs(t *testing.T) {
+	cfg := DefaultConfig(41)
+	cfg.SARPointsPerSortie = 8
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunSorties(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if n := len(e.SnapshotCtx(ctx)); n != 164745 {
+		t.Fatalf("sortie-2 checkpoint is %d bytes, want 164745", n)
+	}
+	got := testing.AllocsPerRun(5, func() { e.SnapshotCtx(ctx) })
+	if got != 11 {
+		t.Fatalf("SnapshotCtx: %v allocs/op, want 11", got)
+	}
+}
+
 // TestMidSortieCancelReplays kills the mission in the middle of a sortie
 // via context cancellation. Nothing commits: retrying on the same engine
 // (or restoring the last checkpoint) replays the sortie bit-identically.

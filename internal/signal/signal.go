@@ -90,11 +90,17 @@ func Add(dst, src []complex128) []complex128 {
 // phase, and amplitude amp.
 func Tone(n int, freq, fs, phase, amp float64) []complex128 {
 	out := make([]complex128, n)
-	w := 2 * math.Pi * freq / fs
-	for i := range out {
-		out[i] = cmplx.Rect(amp, phase+w*float64(i))
-	}
+	ToneInto(out, freq, fs, phase, amp)
 	return out
+}
+
+// ToneInto is Tone writing len(dst) samples into a caller-supplied buffer
+// (typically pooled scratch, see GetIQ).
+func ToneInto(dst []complex128, freq, fs, phase, amp float64) {
+	w := 2 * math.Pi * freq / fs
+	for i := range dst {
+		dst[i] = cmplx.Rect(amp, phase+w*float64(i))
+	}
 }
 
 // Oscillator models a frequency synthesizer output: a complex exponential
@@ -195,18 +201,24 @@ func (f FIR) ApplyDirect(x []complex128) []complex128 {
 	return out
 }
 
+// applyDirectInto accumulates the real and imaginary parts separately:
+// for finite input this is bit-identical to summing complex(t, 0)*x[idx],
+// whose dropped 0·b cross terms are signed zeros that cannot change a sum
+// starting at +0, at half the multiplies.
 func (f FIR) applyDirectInto(dst, x []complex128) {
 	taps := f.Taps
 	for n := range x {
-		var acc complex128
+		var re, im float64
 		for k, t := range taps {
 			idx := n - k
 			if idx < 0 {
 				break
 			}
-			acc += complex(t, 0) * x[idx]
+			v := x[idx]
+			re += t * real(v)
+			im += t * imag(v)
 		}
-		dst[n] = acc
+		dst[n] = complex(re, im)
 	}
 }
 

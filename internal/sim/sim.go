@@ -49,7 +49,8 @@ type Deployment struct {
 	// it; StationKeep steers back.
 	RelayPlanPos geom.Point
 	// Iso and Gains are the relay's measured isolations and programmed
-	// gain plan for this deployment (drawn once per relay build).
+	// gain plan for this deployment: measured at the relay build, or
+	// installed from Config.Calibration.
 	Iso   relay.IsolationReport
 	Gains relay.GainPlan
 
@@ -102,6 +103,16 @@ type Config struct {
 	ExtraPathLossExp float64
 	// GroundReflectivity enables the floor-bounce multipath path.
 	GroundReflectivity float64
+	// Calibration, when set, is the relay's known isolation and gain
+	// plan: New installs it instead of measuring the relay again.
+	Calibration *Calibration
+}
+
+// Calibration is a relay's measured self-interference isolation and the
+// gain plan programmed against it.
+type Calibration struct {
+	Iso   relay.IsolationReport
+	Gains relay.GainPlan
 }
 
 // New builds a deployment from cfg, drawing all randomness from seed.
@@ -130,10 +141,13 @@ func New(cfg Config, seed uint64) *Deployment {
 		d.Relay = rl
 		d.RelayPos = cfg.RelayPos
 		d.RelayPlanPos = cfg.RelayPos
-		// MeasureAll cannot fail here (the relay was locked one line up);
-		// if it somehow does, the relay is left with a dead (unstable)
-		// gain plan rather than crashing the deployment build.
-		if iso, err := rl.MeasureAll(src.Split("iso-trial")); err == nil {
+		if cal := cfg.Calibration; cal != nil {
+			d.Iso, d.Gains = cal.Iso, cal.Gains
+			rl.InstallGains(d.Gains)
+		} else if iso, err := rl.MeasureAll(src.Split("iso-trial")); err == nil {
+			// MeasureAll cannot fail here (the relay was locked above);
+			// if it somehow does, the relay is left with a dead
+			// (unstable) gain plan rather than crashing the build.
 			d.Iso = iso
 			d.Gains = rl.ProgramGains(d.Iso)
 		}

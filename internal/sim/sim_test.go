@@ -405,3 +405,39 @@ func TestRelayNoiseFigureDegradesSNR(t *testing.T) {
 		t.Fatalf("17 dB NF increase only moved SNR by %.1f dB", diff)
 	}
 }
+
+// TestNewInstallsCalibration: a deployment built with a known calibration
+// carries exactly that isolation report and gain plan, and its relay's
+// VGAs hold the plan's settings — not what a fresh measurement of the
+// same build would have programmed.
+func TestNewInstallsCalibration(t *testing.T) {
+	measured := openDeployment(true, geom.P2(0, 0), geom.P2(5, 0), 4)
+	cal := Calibration{
+		Iso: relay.IsolationReport{InterDownlinkDB: 101, InterUplinkDB: 88, IntraDownlinkDB: 71, IntraUplinkDB: 59},
+		Gains: relay.GainPlan{DownVGADB: 7, UpVGADB: 11,
+			DownlinkGainDB: 39, UplinkGainDB: 11, Stable: true},
+	}
+	if measured.Iso == cal.Iso || measured.Relay.DownVGA.GainDB() == cal.Gains.DownVGADB ||
+		measured.Relay.UpVGA.GainDB() == cal.Gains.UpVGADB {
+		t.Fatal("test calibration coincides with the measured one")
+	}
+	d := New(Config{
+		Scene:       world.OpenSpace(),
+		ReaderPos:   geom.P2(0, 0),
+		UseRelay:    true,
+		RelayPos:    geom.P2(5, 0),
+		Calibration: &cal,
+	}, 4)
+	if d.Iso != cal.Iso {
+		t.Fatalf("Iso = %+v, want %+v", d.Iso, cal.Iso)
+	}
+	if d.Gains != cal.Gains {
+		t.Fatalf("Gains = %+v, want %+v", d.Gains, cal.Gains)
+	}
+	if got := d.Relay.DownVGA.GainDB(); got != cal.Gains.DownVGADB {
+		t.Fatalf("downlink VGA = %v dB, want %v", got, cal.Gains.DownVGADB)
+	}
+	if got := d.Relay.UpVGA.GainDB(); got != cal.Gains.UpVGADB {
+		t.Fatalf("uplink VGA = %v dB, want %v", got, cal.Gains.UpVGADB)
+	}
+}
