@@ -3,13 +3,17 @@
 //
 //	POST   /v1/missions            submit an inventory mission (202; 429 +
 //	                               Retry-After under backpressure)
-//	GET    /v1/missions/{id}       poll a mission
+//	GET    /v1/missions/{id}       poll a mission (?after=N long-polls
+//	                               until sortie N+1 commits)
 //	GET    /v1/missions/{id}/trace flight-recorder span dump for the sortie
 //	                               that served the mission
 //	DELETE /v1/missions/{id}       cancel a mission
 //	GET    /healthz                liveness (503 while draining)
 //	GET    /metrics                queue depth, shard utilization, batch and
 //	                               latency histograms, obs counter registry
+//
+// internal/fleet/http.go lists the full route table, including the
+// raw-byte checkpoint, capture and replica routes.
 //
 // SIGINT/SIGTERM triggers a graceful drain: admission stops, in-flight
 // sorties finish, every shard's final engine checkpoint is written to

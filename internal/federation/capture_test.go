@@ -3,9 +3,9 @@ package federation
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
+	"io"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -15,21 +15,25 @@ import (
 
 // getCaptureReplica asks one node for a held capture replica directly
 // over HTTP (the coordinator does not expose its successor choice).
-func getCaptureReplica(t *testing.T, base, id string) (fleet.CaptureResponse, bool) {
+func getCaptureReplica(t *testing.T, base, id string) (sortie int, data []byte, ok bool) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/capture-replicas/" + id)
 	if err != nil {
-		return fleet.CaptureResponse{}, false
+		return 0, nil, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fleet.CaptureResponse{}, false
+		return 0, nil, false
 	}
-	var cr fleet.CaptureResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+	data, err = io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return cr, true
+	sortie, err = strconv.Atoi(resp.Header.Get(fleet.SortieHeader))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortie, data, true
 }
 
 // TestCaptureSegmentReplication: a SAR mission's capture log replicates
@@ -69,7 +73,8 @@ func TestCaptureSegmentReplication(t *testing.T) {
 
 	// The instant a later boundary lands, grab the replica from inside
 	// the predicate — the holder drops it when the mission terminates.
-	var held fleet.CaptureResponse
+	var heldSortie int
+	var blob []byte
 	found := false
 	waitFor(t, 30*time.Second, "incremental capture replication", func() bool {
 		v, _ := c.Get(id)
@@ -77,8 +82,8 @@ func TestCaptureSegmentReplication(t *testing.T) {
 			return false
 		}
 		for _, n := range nodes {
-			if cr, ok := getCaptureReplica(t, n.ts.URL, id); ok {
-				held, found = cr, true
+			if sortie, data, ok := getCaptureReplica(t, n.ts.URL, id); ok {
+				heldSortie, blob, found = sortie, data, true
 				break
 			}
 		}
@@ -92,27 +97,22 @@ func TestCaptureSegmentReplication(t *testing.T) {
 	// segment per replicated sortie, and be a byte-prefix of the
 	// primary's current log (append-only all the way through the wire).
 	v, _ = c.Get(id)
-	blob, err := base64.StdEncoding.DecodeString(held.CaptureB64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rd, err := capture.OpenLog(blob)
 	if err != nil {
 		t.Fatalf("reassembled capture replica does not decode: %v", err)
 	}
-	if rd.NumSegments() != held.Sortie {
-		t.Fatalf("replica has %d segments, claims sortie %d", rd.NumSegments(), held.Sortie)
+	if rd.NumSegments() != heldSortie {
+		t.Fatalf("replica has %d segments, claims sortie %d", rd.NumSegments(), heldSortie)
 	}
 	resp, err := http.Get(v.Node + "/v1/missions/" + v.RemoteID + "/capture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var primary fleet.CaptureResponse
-	if err := json.NewDecoder(resp.Body).Decode(&primary); err != nil {
+	pb, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	pb, _ := base64.StdEncoding.DecodeString(primary.CaptureB64)
 	if !bytes.HasPrefix(pb, blob) {
 		t.Fatal("capture replica is not a byte-prefix of the primary's log")
 	}

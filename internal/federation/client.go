@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,11 +24,11 @@ import (
 // busy node's Retry-After in line.
 
 // maxNodeResponse bounds how much of a node's response body the client
-// decodes: the same 1 MiB nodes enforce on request bodies, which every
+// reads: the same 1 MiB nodes enforce on request bodies, which every
 // checkpoint or capture payload the coordinator forwards must fit anyway.
 // A hostile or broken node streaming an endless body then costs one
-// bounded buffer and a decode error, not unbounded memory.
-const maxNodeResponse = 1 << 20
+// bounded buffer and an error, not unbounded memory.
+const maxNodeResponse = fleet.MaxBody
 
 // ErrNodeBusy is a node's 429: the admission queue is full.
 type ErrNodeBusy struct {
@@ -91,17 +92,10 @@ func NewClient(base string, cfg Config, jitter *jitterSource) *Client {
 // Base returns the node URL the client fronts.
 func (c *Client) Base() string { return c.base }
 
-// do issues one HTTP call with the client's timeout/retry policy and
-// decodes a 2xx JSON body into out (when non-nil).
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		body, err = json.Marshal(in)
-		if err != nil {
-			return err
-		}
-	}
+// do issues one HTTP call with the client's timeout/retry policy. body,
+// when non-nil, is sent as ctype; a 2xx response is handed to read (nil
+// discards it), once per attempt.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, ctype string, read func(*http.Response) error) error {
 	back := c.backoff
 	var last error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -117,7 +111,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				back = c.maxBack
 			}
 		}
-		err := c.once(ctx, method, path, body, out)
+		err := c.once(ctx, method, path, body, ctype, read)
 		if err == nil {
 			return nil
 		}
@@ -138,7 +132,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return last
 }
 
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, ctype string, read func(*http.Response) error) error {
 	rctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -150,7 +144,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -176,87 +170,125 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		}
 		return ErrStatus{Node: c.base, Code: resp.StatusCode, Msg: msg}
 	}
-	if out == nil {
+	if read == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxNodeResponse)).Decode(out)
+	return read(resp)
+}
+
+// doJSON is do with a JSON request body (when in is non-nil) and a JSON
+// response decoded into out (when non-nil).
+func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	var read func(*http.Response) error
+	if out != nil {
+		read = func(resp *http.Response) error {
+			return json.NewDecoder(io.LimitReader(resp.Body, maxNodeResponse)).Decode(out)
+		}
+	}
+	return c.do(ctx, method, path, body, "application/json", read)
+}
+
+// getBlob fetches a blob route: the raw body and its sortie header.
+// fleet.ReadBlob bounds the body, so an oversize, endless or truncated
+// one is an error, never a short blob.
+func (c *Client) getBlob(ctx context.Context, path string) (sortie int, data []byte, err error) {
+	err = c.do(ctx, http.MethodGet, path, nil, "", func(resp *http.Response) error {
+		n, err := strconv.Atoi(resp.Header.Get(fleet.SortieHeader))
+		if err != nil {
+			return fmt.Errorf("federation: node %s sent no valid %s header", c.base, fleet.SortieHeader)
+		}
+		b, err := fleet.ReadBlob(resp.Body, resp.ContentLength)
+		if err != nil {
+			return fmt.Errorf("federation: node %s: %w", c.base, err)
+		}
+		sortie, data = n, b
+		return nil
+	})
+	return sortie, data, err
+}
+
+// putBlob sends data raw to a blob route.
+func (c *Client) putBlob(ctx context.Context, path string, data []byte) error {
+	return c.do(ctx, http.MethodPut, path, data, "application/octet-stream", nil)
 }
 
 // Submit forwards a mission to the node.
 func (c *Client) Submit(ctx context.Context, req fleet.SubmitRequest) (fleet.SubmitResponse, error) {
 	var out fleet.SubmitResponse
-	err := c.do(ctx, http.MethodPost, "/v1/missions", req, &out)
+	err := c.doJSON(ctx, http.MethodPost, "/v1/missions", req, &out)
 	return out, err
 }
 
-// Mission polls a node-side mission record.
-func (c *Client) Mission(ctx context.Context, id string) (fleet.MissionResponse, error) {
+// Await long-polls a node-side mission record: the node answers once
+// the mission's committed sortie count passes after, the mission is
+// terminal, or wait elapses (the node caps it). wait must stay below
+// the client's request timeout.
+func (c *Client) Await(ctx context.Context, id string, after int, wait time.Duration) (fleet.MissionResponse, error) {
 	var out fleet.MissionResponse
-	err := c.do(ctx, http.MethodGet, "/v1/missions/"+id, nil, &out)
+	path := fmt.Sprintf("/v1/missions/%s?after=%d&wait_ms=%d", id, after, wait.Milliseconds())
+	err := c.doJSON(ctx, http.MethodGet, path, nil, &out)
 	return out, err
 }
 
-// Checkpoint fetches a mission's latest committed checkpoint. A mission
-// that has not committed a sortie yet returns ErrStatus 404.
-func (c *Client) Checkpoint(ctx context.Context, id string) (fleet.CheckpointResponse, error) {
-	var out fleet.CheckpointResponse
-	err := c.do(ctx, http.MethodGet, "/v1/missions/"+id+"/checkpoint", nil, &out)
-	return out, err
+// Checkpoint fetches a mission's latest committed checkpoint and the
+// sortie count it covers. A mission that has not committed a sortie yet
+// returns ErrStatus 404.
+func (c *Client) Checkpoint(ctx context.Context, id string) (sortie int, data []byte, err error) {
+	return c.getBlob(ctx, "/v1/missions/"+id+"/checkpoint")
 }
 
-// Capture fetches a mission's capture log. after < 0 asks for the
-// complete log; after >= 0 asks only for the segment tail past that
-// sortie (the incremental replication feed — empty capture_b64 when the
-// log is already current at `after`). A mission with no committed log
-// yet returns ErrStatus 404.
-func (c *Client) Capture(ctx context.Context, id string, after int) (fleet.CaptureResponse, error) {
+// Capture fetches a mission's capture log and the sortie count it
+// covers. after < 0 asks for the complete log; after >= 0 asks only for
+// the segment tail past that sortie (the incremental replication feed —
+// empty when the log is already current at after). A mission with no
+// committed log yet returns ErrStatus 404.
+func (c *Client) Capture(ctx context.Context, id string, after int) (sortie int, data []byte, err error) {
 	path := "/v1/missions/" + id + "/capture"
 	if after >= 0 {
-		path += fmt.Sprintf("?after=%d", after)
+		path += "?after=" + strconv.Itoa(after)
 	}
-	var out fleet.CaptureResponse
-	err := c.do(ctx, http.MethodGet, path, nil, &out)
-	return out, err
+	return c.getBlob(ctx, path)
 }
 
 // PutCaptureReplica asks the node to hold (after == 0) or extend
 // (after > 0, raw segment-tail append) a peer mission's capture log. A
-// 409 means the node's replica is not at `after` — the caller's cue to
+// 409 means the node's replica is not at after — the caller's cue to
 // re-sync the full log.
-func (c *Client) PutCaptureReplica(ctx context.Context, id string, after, sortie int, capB64 string) error {
-	return c.do(ctx, http.MethodPut, "/v1/capture-replicas/"+id,
-		fleet.CaptureReplicaPut{After: after, Sortie: sortie, CaptureB64: capB64}, nil)
+func (c *Client) PutCaptureReplica(ctx context.Context, id string, after, sortie int, data []byte) error {
+	return c.putBlob(ctx, fmt.Sprintf("/v1/capture-replicas/%s?sortie=%d&after=%d", id, sortie, after), data)
 }
 
 // GetCaptureReplica fetches a held capture-log replica back.
-func (c *Client) GetCaptureReplica(ctx context.Context, id string) (fleet.CaptureResponse, error) {
-	var out fleet.CaptureResponse
-	err := c.do(ctx, http.MethodGet, "/v1/capture-replicas/"+id, nil, &out)
-	return out, err
+func (c *Client) GetCaptureReplica(ctx context.Context, id string) (sortie int, data []byte, err error) {
+	return c.getBlob(ctx, "/v1/capture-replicas/"+id)
 }
 
 // DropCaptureReplica discards a held capture replica (best-effort).
 func (c *Client) DropCaptureReplica(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/capture-replicas/"+id, nil, nil)
+	return c.do(ctx, http.MethodDelete, "/v1/capture-replicas/"+id, nil, "", nil)
 }
 
 // PutReplica asks the node to hold a peer mission's checkpoint.
-func (c *Client) PutReplica(ctx context.Context, id string, sortie int, ckptB64 string) error {
-	return c.do(ctx, http.MethodPut, "/v1/replicas/"+id,
-		fleet.ReplicaPut{Sortie: sortie, CheckpointB64: ckptB64}, nil)
+func (c *Client) PutReplica(ctx context.Context, id string, sortie int, data []byte) error {
+	return c.putBlob(ctx, fmt.Sprintf("/v1/replicas/%s?sortie=%d", id, sortie), data)
 }
 
 // GetReplica fetches a held replica back.
-func (c *Client) GetReplica(ctx context.Context, id string) (fleet.CheckpointResponse, error) {
-	var out fleet.CheckpointResponse
-	err := c.do(ctx, http.MethodGet, "/v1/replicas/"+id, nil, &out)
-	return out, err
+func (c *Client) GetReplica(ctx context.Context, id string) (sortie int, data []byte, err error) {
+	return c.getBlob(ctx, "/v1/replicas/"+id)
 }
 
 // DropReplica discards a held replica (best-effort cleanup).
 func (c *Client) DropReplica(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/replicas/"+id, nil, nil)
+	return c.do(ctx, http.MethodDelete, "/v1/replicas/"+id, nil, "", nil)
 }
 
 // ProbeLoad is the detector heartbeat: one GET /metrics with the plain

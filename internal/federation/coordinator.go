@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,7 +26,9 @@ type fedMission struct {
 	succ     string // replica holder
 	remoteID string // primary's mission id
 
-	lastSortie int // latest sortie replicated to succ
+	// lastSortie is the latest sortie replicated to succ, and the count
+	// the watch's long-poll waits to pass.
+	lastSortie int
 	// lastCapSortie is the latest sortie whose capture segments the
 	// successor holds; zero means the successor has no capture replica
 	// yet, so the next push ships the whole log.
@@ -323,28 +326,43 @@ func (c *Coordinator) Done(id string) <-chan struct{} {
 	return nil
 }
 
-// watch is a mission's life-support loop: poll the primary, replicate
-// fresh checkpoints to the successor, and fail over when the detector
-// declares the primary dead.
+// watch is a mission's life-support loop: long-poll the primary for its
+// next committed sortie, replicate that boundary to the successor, and
+// fail over when the detector declares the primary dead. Each exchange
+// is one long-poll plus, when the committed count has advanced, the
+// checkpoint and capture-tail copies; an exchange that fails or finds
+// nothing new pauses PollEvery before the next, so an unreachable or
+// stopping node is not polled in a tight loop.
 func (c *Coordinator) watch(m *fedMission) {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.PollEvery)
-	defer t.Stop()
 	for {
-		select {
-		case <-c.ctx.Done():
+		terminal, progressed := c.step(m)
+		if terminal {
 			return
-		case <-t.C:
 		}
-		if c.tick(m) {
+		if !progressed {
+			select {
+			case <-c.ctx.Done():
+				return
+			case <-time.After(c.cfg.PollEvery):
+			}
+		}
+		if c.ctx.Err() != nil {
 			return
 		}
 	}
 }
 
-// tick runs one watch iteration, reporting whether the mission reached
-// a terminal state.
-func (c *Coordinator) tick(m *fedMission) bool {
+// pollWait is how long one long-poll may wait on the node: at most a
+// heartbeat, so a dead primary is noticed within one, and under half
+// the request timeout, so the poll is never cut off as a failure.
+func (c *Coordinator) pollWait() time.Duration {
+	return min(c.cfg.Heartbeat, c.cfg.RequestTimeout/2)
+}
+
+// step runs one watch exchange, reporting whether the mission reached a
+// terminal state and whether the exchange made progress.
+func (c *Coordinator) step(m *fedMission) (terminal, progressed bool) {
 	c.mu.Lock()
 	node, remoteID, succ := m.node, m.remoteID, m.succ
 	lastSortie := m.lastSortie
@@ -352,37 +370,44 @@ func (c *Coordinator) tick(m *fedMission) bool {
 
 	if c.det.State(node) == StateDead {
 		c.failover(m)
-		return false
+		return false, false
 	}
 
-	mr, err := c.clients[node].Mission(c.ctx, remoteID)
+	mr, err := c.clients[node].Await(c.ctx, remoteID, lastSortie, c.pollWait())
 	if err != nil {
 		// Unreachable but not yet declared dead: leave the suspicion
-		// clock to the detector and try again next tick.
-		return false
+		// clock to the detector and try again after a pause.
+		return false, false
 	}
 	if mr.Status.Terminal() {
-		return c.finish(m, mr)
+		return c.finish(m, mr), true
+	}
+	if mr.Committed <= lastSortie {
+		return false, false // the wait expired with nothing new
 	}
 
-	// Replicate any newly committed boundary.
-	ck, err := c.clients[node].Checkpoint(c.ctx, remoteID)
-	if err == nil && ck.Sortie > lastSortie {
-		_, span := obs.StartSpan(c.ctx, "fed.replicate")
-		span.Str("mission", m.id).Str("to", succ).Int("sortie", int64(ck.Sortie))
-		perr := c.clients[succ].PutReplica(c.ctx, m.id, ck.Sortie, ck.CheckpointB64)
-		span.Bool("failed", perr != nil).End()
-		if perr == nil {
-			c.m.replicated.Add(1)
-			c.mu.Lock()
-			if ck.Sortie > m.lastSortie {
-				m.lastSortie = ck.Sortie
-			}
-			c.mu.Unlock()
-		}
+	// Replicate the newly committed boundary.
+	sortie, ckpt, err := c.clients[node].Checkpoint(c.ctx, remoteID)
+	if err != nil || sortie <= lastSortie {
+		return false, false
 	}
-	c.replicateCapture(m, node, remoteID, succ)
-	return false
+	_, span := obs.StartSpan(c.ctx, "fed.replicate")
+	span.Str("mission", m.id).Str("to", succ).Int("sortie", int64(sortie))
+	perr := c.clients[succ].PutReplica(c.ctx, m.id, sortie, ckpt)
+	span.Bool("failed", perr != nil).End()
+	if perr != nil {
+		return false, false
+	}
+	c.m.replicated.Add(1)
+	c.mu.Lock()
+	if sortie > m.lastSortie {
+		m.lastSortie = sortie
+	}
+	c.mu.Unlock()
+	if m.req.SARPoints > 0 {
+		c.replicateCapture(m, node, remoteID, succ)
+	}
+	return false, true
 }
 
 // replicateCapture ships a SAR mission's newly committed capture
@@ -390,8 +415,8 @@ func (c *Coordinator) tick(m *fedMission) bool {
 // snapshot — the capture log is append-only, so only the first push (or
 // one following a successor-side mismatch) carries the whole log;
 // steady state ships just the segment tail past the successor's copy.
-// A missing log (404: no SAR, or nothing committed yet) is simply not
-// replicated this tick.
+// A missing log (404: nothing committed yet) is simply not replicated
+// this time.
 func (c *Coordinator) replicateCapture(m *fedMission, node, remoteID, succ string) {
 	c.mu.Lock()
 	last := m.lastCapSortie
@@ -403,19 +428,19 @@ func (c *Coordinator) replicateCapture(m *fedMission, node, remoteID, succ strin
 	if last == 0 {
 		after = -1
 	}
-	cap, err := c.clients[node].Capture(c.ctx, remoteID, after)
-	if err != nil || cap.Sortie <= last || cap.CaptureB64 == "" {
+	sortie, data, err := c.clients[node].Capture(c.ctx, remoteID, after)
+	if err != nil || sortie <= last || len(data) == 0 {
 		return
 	}
 	_, span := obs.StartSpan(c.ctx, "fed.replicate.capture")
 	span.Str("mission", m.id).Str("to", succ).
-		Int("sortie", int64(cap.Sortie)).Bool("full", last == 0)
-	perr := c.clients[succ].PutCaptureReplica(c.ctx, m.id, last, cap.Sortie, cap.CaptureB64)
+		Int("sortie", int64(sortie)).Bool("full", last == 0)
+	perr := c.clients[succ].PutCaptureReplica(c.ctx, m.id, last, sortie, data)
 	span.Bool("failed", perr != nil).End()
 	if perr != nil {
 		// A 4xx means the successor's replica is not where we thought
 		// (dropped, budget-evicted, or a post-failover fresh successor):
-		// forget the boundary so the next tick ships the whole log.
+		// forget the boundary so the next commit ships the whole log.
 		var st ErrStatus
 		if errors.As(perr, &st) && st.Code < 500 {
 			c.mu.Lock()
@@ -429,8 +454,8 @@ func (c *Coordinator) replicateCapture(m *fedMission, node, remoteID, succ strin
 		c.m.capFullSyncs.Add(1)
 	}
 	c.mu.Lock()
-	if cap.Sortie > m.lastCapSortie {
-		m.lastCapSortie = cap.Sortie
+	if sortie > m.lastCapSortie {
+		m.lastCapSortie = sortie
 	}
 	c.mu.Unlock()
 }
@@ -461,7 +486,7 @@ func (c *Coordinator) finish(m *fedMission, mr fleet.MissionResponse) bool {
 // under the same seed when death beat the first replication. Either
 // way the runtime's determinism makes the final localization
 // bit-identical to an unkilled run. Errors leave the mission pointed at
-// the dead node; the next tick retries until a placement lands.
+// the dead node; the next watch step retries until a placement lands.
 func (c *Coordinator) failover(m *fedMission) {
 	c.mu.Lock()
 	dead, succ := m.node, m.succ
@@ -473,8 +498,8 @@ func (c *Coordinator) failover(m *fedMission) {
 
 	req := m.req
 	resumed := false
-	if rep, err := c.clients[succ].GetReplica(c.ctx, m.id); err == nil && rep.CheckpointB64 != "" {
-		req.ResumeB64 = rep.CheckpointB64
+	if _, rep, err := c.clients[succ].GetReplica(c.ctx, m.id); err == nil && len(rep) > 0 {
+		req.ResumeB64 = base64.StdEncoding.EncodeToString(rep)
 		resumed = true
 	}
 	node, remoteID, _, err := c.place(c.ctx, req, dead)

@@ -8,11 +8,12 @@
 //     removing a node moves only the arc it owned, so a fleet resize
 //     does not reshuffle every region.
 //
-//   - Replication: as a mission flies, the coordinator polls the owner
-//     for its latest committed sortie checkpoint (published live by the
-//     fleet scheduler's CheckpointSink) and pushes it to the successor's
-//     replica store. The replica is always a boundary the runtime codec
-//     can restore bit-exactly.
+//   - Replication: as a mission flies, the coordinator long-polls the
+//     owner for its next committed sortie (GET /v1/missions/{id}?after=N),
+//     then copies that boundary's checkpoint (published live by the fleet
+//     scheduler's CheckpointSink) and capture-log tail to the successor's
+//     replica stores as raw bytes: one exchange per commit. The replica
+//     is always a boundary the runtime codec can restore bit-exactly.
 //
 //   - Failure detection + failover: a heartbeat prober (detector.go)
 //     tracks every node through alive → suspect → dead, piggybacking
@@ -56,9 +57,11 @@ type Config struct {
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 
-	// PollEvery is the mission watch cadence: each tick polls the
-	// primary for status and replicates any newly committed checkpoint.
-	// Zero defaults to 100ms.
+	// PollEvery is the mission watch's pause after a failed exchange (an
+	// unreachable node, a failed copy, or a long-poll that expired with
+	// nothing new). The watch itself long-polls the primary, waiting up
+	// to a Heartbeat for the next committed sortie. Zero defaults to
+	// 100ms.
 	PollEvery time.Duration
 
 	// RequestTimeout bounds each node call; MaxRetries, BackoffBase and

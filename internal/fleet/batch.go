@@ -176,33 +176,14 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 		// The engine never leaves this goroutine; the sinks below are the
 		// only way its state gets out. last is the drain checkpoint.
 		var last []byte
-		// Publish each committed sortie's checkpoint on the batch
-		// records as the engine flies, so the replication path (GET
-		// /v1/missions/{id}/checkpoint) always sees the latest
-		// committed boundary, not just the end-of-mission drain blob.
+		// Publish each committed boundary on the batch records as the
+		// engine flies: the checkpoint (GET /v1/missions/{id}/checkpoint,
+		// the replication source) and, for SAR missions, the capture log
+		// (download, replay solves, segment replication), together, so a
+		// long-poll woken by the commit finds both at the same sortie.
 		eng.CheckpointSink = func(done int, ckpt []byte) {
 			last = ckpt
-			s.m.checkpoints.Add(1)
-			s.mu.Lock()
-			for _, m := range batch {
-				m.ckpt = ckpt
-				m.ckptSortie = done
-			}
-			s.mu.Unlock()
-		}
-		// Capture-log publication rides the same commit boundary: the
-		// mission's columnar capture log, whole, feeding download
-		// (GET /v1/missions/{id}/capture), replay solves, and the
-		// federation tier's incremental segment replication. The engine
-		// only fires this for SAR missions.
-		eng.CaptureSink = func(done int, log []byte) {
-			s.m.capturePubs.Add(1)
-			s.mu.Lock()
-			for _, m := range batch {
-				m.capture = log
-				m.capSortie = done
-			}
-			s.mu.Unlock()
+			s.publish(batch, done, ckpt, eng.CaptureLog())
 		}
 		// Live mid-flight estimates ride the same commit boundary. The
 		// solve localizes the batch's lead tag, so the estimate belongs
@@ -267,6 +248,27 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 	trace := rec.Snapshot()
 	for _, m := range batch {
 		m.trace = trace
+	}
+}
+
+// publish stores one committed sortie boundary on every batch record —
+// the checkpoint, the capture log (nil for missions without SAR) and the
+// committed count — and wakes the long-polls waiting on it (Await parks
+// them again at the final boundary). A mission nobody long-polls
+// publishes without allocating.
+func (s *Scheduler) publish(batch []*mission, done int, ckpt, log []byte) {
+	s.m.checkpoints.Add(1)
+	if log != nil {
+		s.m.capturePubs.Add(1)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range batch {
+		m.ckpt, m.capture, m.committed = ckpt, log, done
+		if m.wake != nil {
+			close(m.wake)
+			m.wake = nil
+		}
 	}
 }
 

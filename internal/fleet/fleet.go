@@ -255,6 +255,54 @@ func (s *Scheduler) Get(id string) (View, bool) {
 	return m.view(), true
 }
 
+// Await is Get as a long-poll: it waits until the mission's committed
+// sortie count passes after, the mission is terminal, ctx ends, the
+// scheduler stops, or wait elapses, and then returns the record as it
+// stands. A mission's final boundary does not count as passing: the
+// batch resolves right after it, so a waiter there returns with the
+// terminal status instead, even past wait (a caller replicating
+// boundaries would otherwise copy one the mission's completion makes
+// useless). ok is false for an unknown ID.
+func (s *Scheduler) Await(ctx context.Context, id string, after int, wait time.Duration) (View, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.records[id]
+	if !ok {
+		return View{}, false
+	}
+	var timer *time.Timer
+	expired := false
+	for wait > 0 && !m.status.Terminal() && ctx.Err() == nil && s.runCtx.Err() == nil {
+		resolving := m.committed >= s.cfg.Sorties
+		if !resolving && (m.committed > after || expired) {
+			break
+		}
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
+		}
+		var timeout <-chan time.Time
+		if !expired && !resolving {
+			timeout = timer.C
+		}
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake := m.wake
+		s.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timeout:
+			expired = true
+		case <-m.done:
+		case <-ctx.Done():
+		case <-s.runCtx.Done():
+		}
+		s.mu.Lock()
+	}
+	return m.view(), true
+}
+
 // Trace returns the mission's flight-recorder spans: the trace of the
 // batch sortie that served it, captured when the batch resolved. The
 // second return distinguishes "unknown mission" and "no trace yet"
@@ -283,7 +331,7 @@ func (s *Scheduler) Checkpoint(id string) (data []byte, sortie int, ok bool) {
 	if !okk || m.ckpt == nil {
 		return nil, 0, false
 	}
-	return m.ckpt, m.ckptSortie, true
+	return m.ckpt, m.committed, true
 }
 
 // Capture returns the mission's latest published capture log and how
@@ -298,7 +346,7 @@ func (s *Scheduler) Capture(id string) (data []byte, sortie int, ok bool) {
 	if !okk || m.capture == nil {
 		return nil, 0, false
 	}
-	return m.capture, m.capSortie, true
+	return m.capture, m.committed, true
 }
 
 // CaptureTail returns the capture log's segments committed after
@@ -320,9 +368,10 @@ func (s *Scheduler) CaptureTail(id string, afterSortie int) (tail []byte, sortie
 }
 
 // PutCaptureReplica stores or extends a capture-log replica this node
-// holds for a federation peer: after == 0 installs a complete log,
-// after > 0 appends the raw segment tail to a replica held at exactly
-// that sortie count (a mismatch rejects, and the sender re-syncs full).
+// holds for a federation peer: after == 0 installs a complete log (kept
+// as data itself, like PutReplica), after > 0 appends the raw segment
+// tail to a replica held at exactly that sortie count (a mismatch
+// rejects, and the sender re-syncs full).
 func (s *Scheduler) PutCaptureReplica(id string, after, sortie int, data []byte) error {
 	err := s.capReplicas.putCapture(id, after, sortie, data)
 	if err == nil {
@@ -352,7 +401,8 @@ func (s *Scheduler) DropCaptureReplica(id string) bool {
 
 // PutReplica stores a checkpoint this node holds on behalf of a
 // federation peer. It never inspects the bytes — a replica is opaque
-// until a coordinator fetches it back to resume the mission here.
+// until a coordinator fetches it back to resume the mission here. The
+// store keeps data itself; the caller must not modify it afterwards.
 func (s *Scheduler) PutReplica(id string, sortie int, data []byte) error {
 	err := s.replicas.put(id, sortie, data)
 	if err == nil {

@@ -1,0 +1,108 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"testing"
+)
+
+// Fuzz targets for the request decoders a node exposes to its peers and
+// clients: every input must get a 2xx or a typed 4xx — a JSON
+// ErrorResponse with a message — never a panic or a 5xx. Seed corpora
+// live in testdata/fuzz.
+
+// serveOnce sends one request with a raw query and body straight to the
+// node handler. The request is built by hand so any query string reaches
+// the handler, as it would off the wire.
+func serveOnce(s *Scheduler, method, path, query string, body []byte) *httptest.ResponseRecorder {
+	req := &http.Request{
+		Method:        method,
+		URL:           &url.URL{Path: path, RawQuery: query},
+		Header:        http.Header{},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+	}
+	rec := httptest.NewRecorder()
+	NewHandler(s).ServeHTTP(rec, req)
+	return rec
+}
+
+// requireTyped fails unless rec is a 2xx or a 4xx whose body decodes as
+// an ErrorResponse with a message.
+func requireTyped(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	switch {
+	case rec.Code >= 200 && rec.Code < 300:
+	case rec.Code >= 400 && rec.Code < 500:
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("status %d with an untyped body %q", rec.Code, rec.Body.Bytes())
+		}
+	default:
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+func fuzzScheduler(t *testing.T) *Scheduler {
+	s, err := New(Config{Shards: 1, QueueCap: 2, Sorties: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// FuzzReplicaPut: PUT /v1/replicas/{id}?query with a raw checkpoint
+// body. A stored replica's sortie count never moves backwards.
+func FuzzReplicaPut(f *testing.F) {
+	f.Add("sortie=1", []byte("RFC1"))
+	f.Fuzz(func(t *testing.T, query string, body []byte) {
+		s := fuzzScheduler(t)
+		if err := s.PutReplica("m-1", 2, []byte("held")); err != nil {
+			t.Fatal(err)
+		}
+		rec := serveOnce(s, http.MethodPut, "/v1/replicas/m-1", query, body)
+		requireTyped(t, rec)
+		if sortie, _, ok := s.GetReplica("m-1"); !ok || sortie < 2 {
+			t.Fatalf("held replica at sortie %d (ok %v) after a PUT that answered %d", sortie, ok, rec.Code)
+		}
+	})
+}
+
+// FuzzCaptureReplicaPut: PUT /v1/capture-replicas/{id}?query with a raw
+// capture-log (or segment-tail) body, against a replica held at sortie
+// 2. A held log's sortie count never moves backwards, and a tail append
+// extends it by exactly the body.
+func FuzzCaptureReplicaPut(f *testing.F) {
+	f.Add("after=2&sortie=3", []byte("RSEG"))
+	f.Fuzz(func(t *testing.T, query string, body []byte) {
+		s := fuzzScheduler(t)
+		base := []byte("RCAP-base")
+		if err := s.PutCaptureReplica("m-1", 0, 2, base); err != nil {
+			t.Fatal(err)
+		}
+		rec := serveOnce(s, http.MethodPut, "/v1/capture-replicas/m-1", query, body)
+		requireTyped(t, rec)
+		sortie, held, ok := s.GetCaptureReplica("m-1")
+		if !ok || sortie < 2 {
+			t.Fatalf("held capture replica at sortie %d (ok %v) after a PUT that answered %d", sortie, ok, rec.Code)
+		}
+		q, _ := url.ParseQuery(query)
+		want := append(append([]byte(nil), base...), body...)
+		if rec.Code == http.StatusOK && q.Get("after") == "2" && !bytes.Equal(held, want) {
+			t.Fatal("tail append did not extend the held log by exactly the body")
+		}
+	})
+}
+
+// FuzzSubmitBody: POST /v1/missions with an arbitrary JSON body, against
+// a stopped scheduler whose queue holds two missions.
+func FuzzSubmitBody(f *testing.F) {
+	f.Add([]byte(`{"region":"dock","tags":[{"id":1,"x":12,"y":2,"z":1}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		requireTyped(t, serveOnce(fuzzScheduler(t), http.MethodPost, "/v1/missions", "", body))
+	})
+}

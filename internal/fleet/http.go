@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 //
 //	POST   /v1/missions                 submit (202, or 429 + Retry-After, or 503 draining)
 //	GET    /v1/missions/{id}            poll a mission record (includes a live
-//	                                    "estimate" block while a SAR mission flies)
+//	                                    "estimate" block while a SAR mission flies;
+//	                                    ?after=N[&wait_ms=M] long-polls until the
+//	                                    committed count passes N — see handleGet)
 //	GET    /v1/missions/{id}/trace      flight-recorder span dump for the batch
 //	                                    sortie that served the mission
 //	GET    /v1/missions/{id}/checkpoint latest committed sortie-boundary
@@ -36,10 +39,11 @@ import (
 //	                                    robustness settings (milliseconds; no
 //	                                    engine, no sim)
 //	DELETE /v1/missions/{id}            cancel
-//	PUT    /v1/replicas/{id}            hold a peer mission's checkpoint
+//	PUT    /v1/replicas/{id}?sortie=N   hold a peer mission's checkpoint
 //	GET    /v1/replicas/{id}            fetch a held replica
 //	DELETE /v1/replicas/{id}            discard a held replica
-//	PUT    /v1/capture-replicas/{id}    hold (or extend, segment-append) a
+//	PUT    /v1/capture-replicas/{id}?sortie=N[&after=M]
+//	                                    hold (or extend, segment-append) a
 //	                                    peer mission's capture log
 //	GET    /v1/capture-replicas/{id}    fetch a held capture replica
 //	DELETE /v1/capture-replicas/{id}    discard a held capture replica
@@ -47,6 +51,26 @@ import (
 //	GET    /metrics                     counter snapshot (queue depth, shard
 //	                                    utilization, batch + latency histograms,
 //	                                    plus the process-wide obs registry)
+//
+// The checkpoint, capture and replica routes are blob routes: the
+// checkpoint or capture-log bytes travel raw, as an
+// application/octet-stream body, never as base64 inside JSON. A blob
+// response carries its sortie count in the X-Rfly-Sortie header; a blob
+// PUT names it in the sortie query parameter (and a capture tail its
+// base in after). Every other body, errors included, is JSON.
+
+// MaxBody bounds every request body a node reads, JSON or raw: a
+// checkpoint or capture log the federation tier replicates must fit.
+const MaxBody = 1 << 20
+
+// SortieHeader carries a blob response's sortie count: how many sorties
+// the checkpoint or capture log covers.
+const SortieHeader = "X-Rfly-Sortie"
+
+// maxPollWait caps a long-poll's wait (GET /v1/missions/{id}?after=N),
+// below rfly-serve's default request timeout, so a poll answers with the
+// record rather than being cut off.
+const maxPollWait = 5 * time.Second
 
 // SubmitRequest is the POST /v1/missions body.
 type SubmitRequest struct {
@@ -102,6 +126,9 @@ type MissionResponse struct {
 	WaitMs    float64  `json:"wait_ms,omitempty"`
 	RunMs     float64  `json:"run_ms,omitempty"`
 	Outcome   *Outcome `json:"outcome,omitempty"`
+	// Committed is how many sorties the mission's published checkpoint
+	// covers: the count a long-poll (?after=N) waits to pass.
+	Committed int `json:"committed"`
 	// Estimate is the streaming accumulator's latest mid-flight
 	// localization of the batch's lead tag, refreshed at every committed
 	// sortie boundary. Present once enough aperture has accumulated;
@@ -165,15 +192,12 @@ func NewHandler(s *Scheduler) http.Handler {
 		handleCaptureReplicaPut(s, w, r)
 	})
 	mux.HandleFunc("GET /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		sortie, data, ok := s.GetCaptureReplica(id)
+		sortie, data, ok := s.GetCaptureReplica(r.PathValue("id"))
 		if !ok {
 			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no capture replica held for that id"})
 			return
 		}
-		writeJSON(w, http.StatusOK, CaptureResponse{
-			ID: id, Sortie: sortie, CaptureB64: base64.StdEncoding.EncodeToString(data),
-		})
+		writeBlob(w, sortie, data)
 	})
 	mux.HandleFunc("DELETE /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !s.DropCaptureReplica(r.PathValue("id")) {
@@ -213,7 +237,7 @@ func NewHandler(s *Scheduler) http.Handler {
 
 func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	var in SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
@@ -265,8 +289,36 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleGet serves a mission record. With ?after=N it is a long-poll
+// (Scheduler.Await): it answers once the committed count passes N, the
+// mission is terminal, the request context ends, the scheduler stops, or
+// wait_ms (default and cap maxPollWait) elapses — whichever is first.
 func handleGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	v, ok := s.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	q := r.URL.Query()
+	var v View
+	var ok bool
+	if q.Has("after") {
+		after, err := strconv.Atoi(q.Get("after"))
+		if err != nil || after < 0 {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "after must be a non-negative integer"})
+			return
+		}
+		wait := maxPollWait
+		if ws := q.Get("wait_ms"); ws != "" {
+			ms, err := strconv.ParseInt(ws, 10, 64)
+			if err != nil || ms < 0 {
+				writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "wait_ms must be a non-negative integer"})
+				return
+			}
+			if ms < int64(maxPollWait/time.Millisecond) {
+				wait = time.Duration(ms) * time.Millisecond
+			}
+		}
+		v, ok = s.Await(r.Context(), id, after, wait)
+	} else {
+		v, ok = s.Get(id)
+	}
 	if !ok {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown mission id"})
 		return
@@ -289,20 +341,6 @@ func handleTrace(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TraceResponse{ID: id, Status: v.Status, Spans: spans})
 }
 
-// CheckpointResponse is the GET /v1/missions/{id}/checkpoint body.
-type CheckpointResponse struct {
-	ID string `json:"id"`
-	// Sortie is how many sorties the checkpoint covers.
-	Sortie        int    `json:"sortie"`
-	CheckpointB64 string `json:"checkpoint_b64"`
-}
-
-// ReplicaPut is the PUT /v1/replicas/{id} body.
-type ReplicaPut struct {
-	Sortie        int    `json:"sortie"`
-	CheckpointB64 string `json:"checkpoint_b64"`
-}
-
 func handleCheckpoint(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.Get(id); !ok {
@@ -314,42 +352,28 @@ func handleCheckpoint(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "mission has no committed checkpoint yet"})
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{
-		ID: id, Sortie: sortie, CheckpointB64: base64.StdEncoding.EncodeToString(data),
-	})
+	writeBlob(w, sortie, data)
 }
 
+// handleReplicaPut holds a peer's checkpoint: the raw body, at the
+// sortie query parameter's count.
 func handleReplicaPut(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	var in ReplicaPut
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	q := r.URL.Query()
+	sortie, err := queryInt(q, "sortie")
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return
+	}
+	blob, err := ReadBlob(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	blob, err := base64.StdEncoding.DecodeString(in.CheckpointB64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad checkpoint_b64: " + err.Error()})
-		return
-	}
-	if err := s.PutReplica(r.PathValue("id"), in.Sortie, blob); err != nil {
+	if err := s.PutReplica(r.PathValue("id"), sortie, blob); err != nil {
 		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"held": true, "sortie": in.Sortie})
-}
-
-// CaptureResponse is the GET /v1/missions/{id}/capture body (and the
-// capture-replica GET body). A tail request (?after=N) that finds the
-// peer already current returns sortie == N and an empty capture_b64.
-type CaptureResponse struct {
-	ID string `json:"id"`
-	// Sortie is how many sorties the capture log covers.
-	Sortie     int    `json:"sortie"`
-	CaptureB64 string `json:"capture_b64"`
-	// Tail marks a ?after=N response: capture_b64 holds only the
-	// header-less segment bytes past sortie N, not a standalone log.
-	Tail bool `json:"tail,omitempty"`
+	writeJSON(w, http.StatusOK, map[string]any{"held": true, "sortie": sortie})
 }
 
 // ReplayRequest is the POST /v1/missions/{id}/replay body. Zero-valued
@@ -378,17 +402,6 @@ type ReplayResponse struct {
 	Records  uint64  `json:"records"`
 }
 
-// CaptureReplicaPut is the PUT /v1/capture-replicas/{id} body. After is
-// the sortie the receiver is expected to hold already: zero installs
-// capture_b64 as a complete log; non-zero appends it (raw segment tail
-// bytes) to a replica at exactly that sortie, and mismatch is a 409 —
-// the sender's cue to fall back to a full sync.
-type CaptureReplicaPut struct {
-	After      int    `json:"after,omitempty"`
-	Sortie     int    `json:"sortie"`
-	CaptureB64 string `json:"capture_b64"`
-}
-
 func handleCapture(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.Get(id); !ok {
@@ -406,9 +419,7 @@ func handleCapture(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "mission has no committed capture log yet"})
 			return
 		}
-		writeJSON(w, http.StatusOK, CaptureResponse{
-			ID: id, Sortie: sortie, CaptureB64: base64.StdEncoding.EncodeToString(tail), Tail: true,
-		})
+		writeBlob(w, sortie, tail)
 		return
 	}
 	data, sortie, ok := s.Capture(id)
@@ -416,9 +427,7 @@ func handleCapture(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "mission has no committed capture log yet"})
 		return
 	}
-	writeJSON(w, http.StatusOK, CaptureResponse{
-		ID: id, Sortie: sortie, CaptureB64: base64.StdEncoding.EncodeToString(data),
-	})
+	writeBlob(w, sortie, data)
 }
 
 func handleReplay(s *Scheduler, w http.ResponseWriter, r *http.Request) {
@@ -428,7 +437,7 @@ func handleReplay(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in ReplayRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil && !errors.Is(err, io.EOF) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
@@ -467,36 +476,106 @@ func handleReplay(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCaptureReplicaPut holds or extends a peer's capture log. The
+// after query parameter is the sortie the receiver is expected to hold
+// already: absent or zero installs the body as a complete log; non-zero
+// appends it (raw segment tail bytes) to a replica at exactly that
+// sortie, and a mismatch is a 409 — the sender's cue to fall back to a
+// full sync.
 func handleCaptureReplicaPut(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	var in CaptureReplicaPut
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	q := r.URL.Query()
+	sortie, err := queryInt(q, "sortie")
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return
+	}
+	after, err := queryInt(q, "after")
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return
+	}
+	blob, err := ReadBlob(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	blob, err := base64.StdEncoding.DecodeString(in.CaptureB64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad capture_b64: " + err.Error()})
-		return
-	}
-	if err := s.PutCaptureReplica(r.PathValue("id"), in.After, in.Sortie, blob); err != nil {
+	if err := s.PutCaptureReplica(r.PathValue("id"), after, sortie, blob); err != nil {
 		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"held": true, "sortie": in.Sortie})
+	writeJSON(w, http.StatusOK, map[string]any{"held": true, "sortie": sortie})
 }
 
 func handleReplicaGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sortie, data, ok := s.GetReplica(id)
+	sortie, data, ok := s.GetReplica(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no replica held for that id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{
-		ID: id, Sortie: sortie, CheckpointB64: base64.StdEncoding.EncodeToString(data),
-	})
+	writeBlob(w, sortie, data)
+}
+
+// queryInt parses the named query parameter as an int; an absent one is
+// zero, which the replica store rejects as a sortie count just as it
+// did a JSON body's missing field.
+func queryInt(q url.Values, name string) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("%s must be an integer, got %q", name, v)
+	}
+	return n, nil
+}
+
+// writeBlob answers 200 with raw bytes and their sortie count.
+func writeBlob(w http.ResponseWriter, sortie int, data []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
+	h.Set(SortieHeader, strconv.Itoa(sortie))
+	w.WriteHeader(http.StatusOK)
+	w.Write(data)
+}
+
+// ReadBlob reads a raw blob body of at most MaxBody bytes. size is the
+// declared Content-Length, or -1 when unknown. A declared size is read
+// into one exactly sized buffer. The body is read through a MaxBody+1
+// limit, so a body over MaxBody, or one shorter than its declared size,
+// is an error — never a silently truncated blob.
+func ReadBlob(body io.Reader, size int64) ([]byte, error) {
+	if size > MaxBody {
+		return nil, fmt.Errorf("blob of %d bytes exceeds the %d-byte bound", size, MaxBody)
+	}
+	c := size
+	if c < 0 {
+		c = 512
+	}
+	// One spare byte lets the final read see EOF without growing.
+	buf := make([]byte, 0, c+1)
+	lr := io.LimitReader(body, MaxBody+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case len(buf) > MaxBody:
+		return nil, fmt.Errorf("blob exceeds the %d-byte bound", MaxBody)
+	case size >= 0 && int64(len(buf)) != size:
+		return nil, fmt.Errorf("blob ended after %d of its %d declared bytes: %w", len(buf), size, io.ErrUnexpectedEOF)
+	}
+	return buf, nil
 }
 
 func handleCancel(s *Scheduler, w http.ResponseWriter, r *http.Request) {
@@ -521,6 +600,7 @@ func viewResponse(v View) MissionResponse {
 		Status:    v.Status,
 		Error:     v.Err,
 		BatchSize: v.BatchSize,
+		Committed: v.Committed,
 		Outcome:   v.Outcome,
 	}
 	if v.Shard >= 0 {

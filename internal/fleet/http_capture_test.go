@@ -3,8 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -50,7 +50,8 @@ func sarServer(t *testing.T) (*httptest.Server, *Scheduler, string, View) {
 func TestHTTPCaptureDownloadAndTail(t *testing.T) {
 	ts, _, id, _ := sarServer(t)
 
-	get := func(url string, wantStatus int) CaptureResponse {
+	// get returns a blob route's body and sortie header.
+	get := func(url string, wantStatus int) ([]byte, string) {
 		t.Helper()
 		resp, err := ts.Client().Get(url)
 		if err != nil {
@@ -60,22 +61,16 @@ func TestHTTPCaptureDownloadAndTail(t *testing.T) {
 		if resp.StatusCode != wantStatus {
 			t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, wantStatus)
 		}
-		var cr CaptureResponse
-		if wantStatus == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-				t.Fatal(err)
-			}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return cr
+		return body, resp.Header.Get(SortieHeader)
 	}
 
-	full := get(ts.URL+"/v1/missions/"+id+"/capture", http.StatusOK)
-	if full.Sortie != 2 || full.CaptureB64 == "" || full.Tail {
-		t.Fatalf("full capture response %+v", full)
-	}
-	blob, err := base64.StdEncoding.DecodeString(full.CaptureB64)
-	if err != nil {
-		t.Fatal(err)
+	blob, sortie := get(ts.URL+"/v1/missions/"+id+"/capture", http.StatusOK)
+	if sortie != "2" || len(blob) == 0 {
+		t.Fatalf("full capture response: sortie %q, %d bytes", sortie, len(blob))
 	}
 	rd, err := capture.OpenLog(blob)
 	if err != nil {
@@ -87,13 +82,9 @@ func TestHTTPCaptureDownloadAndTail(t *testing.T) {
 
 	// Tail past sortie 1: exactly the second segment's bytes, and
 	// appending them to a sortie-1 prefix must re-decode.
-	tail := get(ts.URL+"/v1/missions/"+id+"/capture?after=1", http.StatusOK)
-	if !tail.Tail || tail.Sortie != 2 || tail.CaptureB64 == "" {
-		t.Fatalf("tail response %+v", tail)
-	}
-	tb, err := base64.StdEncoding.DecodeString(tail.CaptureB64)
-	if err != nil {
-		t.Fatal(err)
+	tb, sortie := get(ts.URL+"/v1/missions/"+id+"/capture?after=1", http.StatusOK)
+	if sortie != "2" || len(tb) == 0 {
+		t.Fatalf("tail response: sortie %q, %d bytes", sortie, len(tb))
 	}
 	if !bytes.HasSuffix(blob, tb) || len(tb) >= len(blob) {
 		t.Fatal("tail bytes are not a proper suffix of the full log")
@@ -103,9 +94,9 @@ func TestHTTPCaptureDownloadAndTail(t *testing.T) {
 	}
 
 	// Already current: empty tail.
-	cur := get(ts.URL+"/v1/missions/"+id+"/capture?after=2", http.StatusOK)
-	if !cur.Tail || cur.Sortie != 2 || cur.CaptureB64 != "" {
-		t.Fatalf("current-tail response %+v", cur)
+	cur, sortie := get(ts.URL+"/v1/missions/"+id+"/capture?after=2", http.StatusOK)
+	if sortie != "2" || len(cur) != 0 {
+		t.Fatalf("current-tail response: sortie %q, %d bytes", sortie, len(cur))
 	}
 
 	get(ts.URL+"/v1/missions/"+id+"/capture?after=-1", http.StatusBadRequest)
@@ -190,16 +181,15 @@ func TestHTTPReplay(t *testing.T) {
 func TestHTTPCaptureReplica(t *testing.T) {
 	ts, s, id, _ := sarServer(t)
 
-	var full CaptureResponse
 	resp, err := ts.Client().Get(ts.URL + "/v1/missions/" + id + "/capture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	blob, _ := base64.StdEncoding.DecodeString(full.CaptureB64)
 
 	// Split the served log at the sortie-1 boundary using the reader's
 	// own tail computation.
@@ -210,10 +200,9 @@ func TestHTTPCaptureReplica(t *testing.T) {
 	tail := rd.Tail(1)
 	prefix := blob[:len(blob)-len(tail)]
 
-	put := func(id string, body CaptureReplicaPut, wantStatus int) {
+	put := func(query string, body []byte, wantStatus int) {
 		t.Helper()
-		payload, _ := json.Marshal(body)
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/capture-replicas/"+id, bytes.NewReader(payload))
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/capture-replicas/fed-cap?"+query, bytes.NewReader(body))
 		resp, err := ts.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -225,29 +214,25 @@ func TestHTTPCaptureReplica(t *testing.T) {
 	}
 
 	// Full install at sortie 1, then the incremental tail to sortie 2.
-	put("fed-cap", CaptureReplicaPut{Sortie: 1,
-		CaptureB64: base64.StdEncoding.EncodeToString(prefix)}, http.StatusOK)
-	put("fed-cap", CaptureReplicaPut{After: 1, Sortie: 2,
-		CaptureB64: base64.StdEncoding.EncodeToString(tail)}, http.StatusOK)
+	put("sortie=1", prefix, http.StatusOK)
+	put("after=1&sortie=2", tail, http.StatusOK)
 
 	// A second tail claiming the same base must conflict (replica is at
 	// sortie 2 now) — the sender's cue to full-sync.
-	put("fed-cap", CaptureReplicaPut{After: 1, Sortie: 2,
-		CaptureB64: base64.StdEncoding.EncodeToString(tail)}, http.StatusConflict)
+	put("after=1&sortie=2", tail, http.StatusConflict)
 
 	// The held replica is byte-identical to the source log and decodes.
 	gresp, err := ts.Client().Get(ts.URL + "/v1/capture-replicas/fed-cap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var held CaptureResponse
-	if err := json.NewDecoder(gresp.Body).Decode(&held); err != nil {
+	hb, err := io.ReadAll(gresp.Body)
+	gresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	gresp.Body.Close()
-	hb, _ := base64.StdEncoding.DecodeString(held.CaptureB64)
-	if held.Sortie != 2 || !bytes.Equal(hb, blob) {
-		t.Fatalf("held replica sortie %d, bytes equal %v", held.Sortie, bytes.Equal(hb, blob))
+	if held := gresp.Header.Get(SortieHeader); held != "2" || !bytes.Equal(hb, blob) {
+		t.Fatalf("held replica sortie %q, bytes equal %v", held, bytes.Equal(hb, blob))
 	}
 	if _, err := capture.OpenLog(hb); err != nil {
 		t.Fatalf("reassembled replica does not decode: %v", err)

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -310,18 +312,19 @@ func TestHTTPCheckpointAndReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt CheckpointResponse
-	if err := json.NewDecoder(cresp.Body).Decode(&ckpt); err != nil {
+	ckpt, err := io.ReadAll(cresp.Body)
+	cresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusOK || ckpt.Sortie != 2 || ckpt.CheckpointB64 == "" {
-		t.Fatalf("checkpoint fetch: status %d, sortie %d", cresp.StatusCode, ckpt.Sortie)
+	if cresp.StatusCode != http.StatusOK || cresp.Header.Get(SortieHeader) != "2" || len(ckpt) == 0 ||
+		cresp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("checkpoint fetch: status %d, sortie %q, %d bytes of %s", cresp.StatusCode,
+			cresp.Header.Get(SortieHeader), len(ckpt), cresp.Header.Get("Content-Type"))
 	}
 
 	// Hold it as a replica under the coordinator's mission id.
-	body, _ := json.Marshal(ReplicaPut{Sortie: ckpt.Sortie, CheckpointB64: ckpt.CheckpointB64})
-	preq, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/replicas/fed-001", bytes.NewReader(body))
+	preq, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/replicas/fed-001?sortie=2", bytes.NewReader(ckpt))
 	presp, err := ts.Client().Do(preq)
 	if err != nil {
 		t.Fatal(err)
@@ -335,19 +338,19 @@ func TestHTTPCheckpointAndReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep CheckpointResponse
-	if err := json.NewDecoder(rresp.Body).Decode(&rep); err != nil {
+	rep, err := io.ReadAll(rresp.Body)
+	rresp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rresp.Body.Close()
-	if rep.CheckpointB64 != ckpt.CheckpointB64 {
+	if !bytes.Equal(rep, ckpt) || rresp.Header.Get(SortieHeader) != "2" {
 		t.Fatal("replica bytes differ from the published checkpoint")
 	}
 
 	// The replica resumes as a mission (trivially: all sorties done, the
 	// engine just reports its final state).
 	resp = postMission(t, ts, SubmitRequest{
-		Region: "dock", Tags: tagInputs(4), Seed: 77, ResumeB64: rep.CheckpointB64,
+		Region: "dock", Tags: tagInputs(4), Seed: 77, ResumeB64: base64.StdEncoding.EncodeToString(rep),
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resume submit status %d", resp.StatusCode)
@@ -519,5 +522,34 @@ func TestHTTPNoEstimateWithoutSAR(t *testing.T) {
 			t.Fatal("mission did not finish")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestReadBlob: a raw body is read whole, and one that ends short of its
+// declared length or exceeds MaxBody is an error, not a truncated blob.
+func TestReadBlob(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, 1000)
+	big := bytes.Repeat([]byte{7}, MaxBody+1)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		size int64
+		want int // bytes read; -1 for an error
+	}{
+		{"declared", body, 1000, 1000},
+		{"undeclared", body, -1, 1000},
+		{"empty", nil, 0, 0},
+		{"short of its declared size", body[:10], 1000, -1},
+		{"longer than its declared size", body, 10, -1},
+		{"declared over MaxBody", body, MaxBody + 1, -1},
+		{"undeclared over MaxBody", big, -1, -1},
+	} {
+		got, err := ReadBlob(bytes.NewReader(tc.body), tc.size)
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("%s: read %d bytes without error", tc.name, len(got))
+		case tc.want >= 0 && (err != nil || !bytes.Equal(got, tc.body)):
+			t.Errorf("%s: read %d bytes, err %v; want %d", tc.name, len(got), err, tc.want)
+		}
 	}
 }

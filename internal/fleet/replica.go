@@ -22,7 +22,8 @@ type replicaErr struct{ msg string }
 
 func (e replicaErr) Error() string { return "fleet: " + e.msg }
 
-// replica is one held checkpoint.
+// replica is one held checkpoint or capture log. put keeps the bytes it
+// is given rather than copying them; get hands out copies.
 type replica struct {
 	sortie int
 	data   []byte
@@ -71,7 +72,7 @@ func (r *replicaStore) put(id string, sortie int, data []byte) error {
 		return replicaErr{fmt.Sprintf("replica store over byte budget (%d + %d > %d)",
 			r.bytes, len(data), r.maxBytes)}
 	}
-	r.m[id] = replica{sortie: sortie, data: append([]byte(nil), data...)}
+	r.m[id] = replica{sortie: sortie, data: data}
 	r.bytes = newBytes
 	return nil
 }
@@ -141,7 +142,10 @@ func (r *replicaStore) putCapture(id string, after, sortie int, data []byte) err
 		return replicaErr{fmt.Sprintf("replica store over byte budget (%d + %d > %d)",
 			r.bytes, len(data), r.maxBytes)}
 	}
-	r.m[id] = replica{sortie: sortie, data: append(old.data, data...)}
+	// The full-slice expression makes the append copy: the base may be
+	// the caller's buffer (put keeps what it is given), and its spare
+	// capacity is not the store's to write.
+	r.m[id] = replica{sortie: sortie, data: append(old.data[:len(old.data):len(old.data)], data...)}
 	r.bytes = newBytes
 	return nil
 }

@@ -210,17 +210,22 @@ type mission struct {
 	trace []obs.SpanRecord
 
 	// ckpt is the engine's latest sortie-boundary checkpoint, published
-	// live while the batch flies (the replication source). ckptSortie is
-	// how many sorties it covers.
-	ckpt       []byte
-	ckptSortie int
+	// live while the batch flies (the replication source).
+	ckpt []byte
 
 	// capture is the mission's columnar capture log, published whole at
-	// the same commit boundary (SAR missions only). capSortie is how many
-	// sorties it covers. It feeds download, replay solves, and
-	// incremental segment replication.
-	capture   []byte
-	capSortie int
+	// the same commit boundary (SAR missions only). It feeds download,
+	// replay solves, and incremental segment replication.
+	capture []byte
+
+	// committed is how many sorties ckpt and capture cover: the
+	// committed-sortie count a long-poll (Scheduler.Await) waits on.
+	committed int
+
+	// wake, when non-nil, closes at the next published non-final
+	// boundary. Only a long-poll creates it, so a mission nobody waits
+	// on publishes without allocating.
+	wake chan struct{}
 
 	// est is the engine's latest live localization estimate, published
 	// after each sortie commit while the batch flies. Like the outcome's
@@ -246,6 +251,9 @@ type View struct {
 	Submitted time.Time
 	Started   time.Time
 	Finished  time.Time
+	// Committed is how many sorties the mission's published checkpoint
+	// (and, for SAR missions, capture log) covers.
+	Committed int
 	// Estimate is the latest mid-flight localization estimate (batch
 	// head only, once enough aperture has committed); nil otherwise. It
 	// keeps updating while the mission runs and freezes at completion.
@@ -263,6 +271,7 @@ func (m *mission) view() View {
 		Submitted: m.submitted,
 		Started:   m.started,
 		Finished:  m.finished,
+		Committed: m.committed,
 	}
 	if m.outcome != nil {
 		o := *m.outcome

@@ -2,6 +2,7 @@ package loc
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -189,12 +190,23 @@ func (s *StreamSolver) Kept() int {
 	return len(s.kept)
 }
 
-// Grid returns the lattice geometry and a copy of the per-cell partial
-// sums, for checkpointing. The copy is row-major like stats.Heatmap.
-func (s *StreamSolver) Grid() (x0, y0, res float64, cols, rows int, sum []complex128) {
+// Dims returns the lattice's column and row counts (fixed at
+// construction).
+func (s *StreamSolver) Dims() (cols, rows int) { return s.cols, s.rows }
+
+// AppendGrid appends the per-cell partial sums to b, for checkpointing,
+// and returns the extended slice: row-major like stats.Heatmap, each
+// cell its real then imaginary part as little-endian IEEE 754 bits. It
+// encodes straight from the live grid under the solver's lock, so a
+// checkpoint costs no copy of the grid.
+func (s *StreamSolver) AppendGrid(b []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.x0, s.y0, s.res, s.cols, s.rows, append([]complex128(nil), s.sum...)
+	for _, z := range s.sum {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(z)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(z)))
+	}
+	return b
 }
 
 // Restore installs a previously serialized accumulator: the grid is taken

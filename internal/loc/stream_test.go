@@ -2,6 +2,7 @@ package loc
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
@@ -190,6 +191,33 @@ func TestStreamSnapshotDoesNotConsume(t *testing.T) {
 	requireSameResult(t, "post-snapshot finalize", batchFinal, final.Result)
 }
 
+// TestAppendGridEncodesSums: AppendGrid writes every cell's partial sum,
+// row-major, as little-endian float64 bits (real, then imaginary) after
+// whatever the caller's buffer already holds.
+func TestAppendGridEncodesSums(t *testing.T) {
+	meas, _, _ := robustScenario(45, 15, 36)
+	s, err := NewRobustStreamSolver(robustCfg(915e6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddBatch(context.Background(), meas)
+	const prefix = "head"
+	b := s.AppendGrid([]byte(prefix))
+	cols, rows := s.Dims()
+	if string(b[:len(prefix)]) != prefix || len(b) != len(prefix)+16*cols*rows {
+		t.Fatalf("AppendGrid gave %d bytes for a %d×%d lattice after a %d-byte prefix",
+			len(b), cols, rows, len(prefix))
+	}
+	cells := b[len(prefix):]
+	for i, z := range s.sum {
+		re := binary.LittleEndian.Uint64(cells[16*i:])
+		im := binary.LittleEndian.Uint64(cells[16*i+8:])
+		if re != math.Float64bits(real(z)) || im != math.Float64bits(imag(z)) {
+			t.Fatalf("cell %d encodes (%x, %x), want the bits of %v", i, re, im, z)
+		}
+	}
+}
+
 // TestStreamRestoreRoundTrip: serializing the grid mid-stream and
 // restoring it into a fresh solver (grid verbatim, bookkeeping replayed
 // from history) must leave the finalize bit-identical.
@@ -205,7 +233,8 @@ func TestStreamRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AddBatch(context.Background(), meas[:20])
-	_, _, _, _, _, sum := s.Grid()
+	sum := make([]complex128, len(s.sum))
+	copy(sum, s.sum)
 
 	restored, err := NewRobustStreamSolver(cfg)
 	if err != nil {

@@ -310,16 +310,14 @@ func (e *Engine) SnapshotCtx(ctx context.Context) []byte {
 	hasStream := e.solver != nil
 	w.boolean(hasStream)
 	if hasStream {
-		_, _, _, cols, rows, sum := e.solver.Grid()
+		cols, rows := e.solver.Dims()
 		w.u32(uint32(cols))
 		w.u32(uint32(rows))
 		// One grow for the grid and the CRC trailer, instead of the
-		// doublings the cell loop's appends would take.
-		w.grow(16*len(sum) + 4)
-		for _, z := range sum {
-			w.f64(real(z))
-			w.f64(imag(z))
-		}
+		// doublings the cell appends would take; the solver encodes its
+		// grid in place, without a copy.
+		w.grow(16*cols*rows + 4)
+		w.buf = e.solver.AppendGrid(w.buf)
 	}
 
 	w.u32(crc32.ChecksumIEEE(w.buf))
@@ -517,7 +515,7 @@ func Restore(cfg Config, data []byte) (*Engine, error) {
 		if hasStream {
 			cols := int(r.u32())
 			rows := int(r.u32())
-			_, _, _, wantCols, wantRows, _ := e.solver.Grid()
+			wantCols, wantRows := e.solver.Dims()
 			if r.err == nil && (cols != wantCols || rows != wantRows) {
 				return nil, fmt.Errorf("runtime: checkpoint stream grid %d×%d does not match configured lattice %d×%d: %w",
 					cols, rows, wantCols, wantRows, ErrCheckpointConfigMismatch)

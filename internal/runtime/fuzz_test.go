@@ -42,7 +42,7 @@ func streamBlockLen(cfg Config) int {
 	if err != nil || e.solver == nil {
 		return 0
 	}
-	_, _, _, cols, rows, _ := e.solver.Grid()
+	cols, rows := e.solver.Dims()
 	return 1 + 4 + 4 + 16*cols*rows
 }
 

@@ -172,20 +172,21 @@ func TestCaptureLogProvenance(t *testing.T) {
 	}
 }
 
-// TestCaptureSinkPublishesAppendOnly: the sink fires at every commit
-// with a valid, monotonically growing log — each publication a byte
-// prefix of the next, the last one equal to CaptureLog at mission end.
-func TestCaptureSinkPublishesAppendOnly(t *testing.T) {
+// TestCaptureLogAtCommitAppendOnly: the capture log read at every
+// commit — from CheckpointSink, as the fleet scheduler publishes it — is
+// valid and monotonically growing: each publication a byte prefix of
+// the next, the last one equal to CaptureLog at mission end.
+func TestCaptureLogAtCommitAppendOnly(t *testing.T) {
 	e, err := New(testConfig(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pubs [][]byte
-	e.CaptureSink = func(done int, log []byte) {
+	e.CheckpointSink = func(done int, _ []byte) {
 		if want := len(pubs) + 1; done != want {
 			t.Fatalf("sink fired for %d sorties done, want %d", done, want)
 		}
-		pubs = append(pubs, log)
+		pubs = append(pubs, e.CaptureLog())
 	}
 	if _, err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)

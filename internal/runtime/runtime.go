@@ -380,19 +380,12 @@ type Engine struct {
 	// CheckpointSink, when set, receives a snapshot after every sortie
 	// commit: sortiesDone is the committed count and ckpt the exact bytes
 	// Snapshot would return at that boundary. The fleet scheduler uses it
-	// to publish mid-flight checkpoints for replication; like Observer it
+	// to publish mid-flight checkpoints for replication, reading
+	// CaptureLog there to publish the capture log at the same boundary
+	// (the capture log has committed the sortie by then); like Observer it
 	// does not participate in determinism (encoding a snapshot reads, but
 	// never advances, the mission streams).
 	CheckpointSink func(sortiesDone int, ckpt []byte)
-
-	// CaptureSink, when set, receives a capture log snapshot after every
-	// sortie commit (following CheckpointSink): sortiesDone is the
-	// committed count and log the exact bytes CaptureLog would return at
-	// that boundary. The fleet scheduler uses it to publish mission
-	// capture logs for download and incremental segment replication. Never
-	// set for missions without SAR; like Observer it does not participate
-	// in determinism.
-	CaptureSink func(sortiesDone int, log []byte)
 
 	// EstimateSink, when set, receives a live position estimate after
 	// every sortie commit (following CheckpointSink). It fires only once
@@ -614,9 +607,6 @@ func (e *Engine) RunSortie(ctx context.Context) (SortieResult, error) {
 	// sortie spans, exactly like a caller-driven boundary snapshot.
 	if err == nil && e.CheckpointSink != nil {
 		e.CheckpointSink(e.cur, e.SnapshotCtx(ctx))
-	}
-	if err == nil && e.CaptureSink != nil && e.capLog != nil {
-		e.CaptureSink(e.cur, e.capLog.Snapshot())
 	}
 	if err == nil && e.EstimateSink != nil {
 		if est, ok := e.LiveEstimateCtx(ctx); ok {

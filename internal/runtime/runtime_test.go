@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,8 +114,8 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 
 // TestSnapshotAllocs pins the checkpoint encoder's allocation count at a
 // mid-mission boundary: the config hash is computed once per engine, and
-// the accumulator grid is appended into one presized buffer instead of
-// growing it by doubling.
+// the solver appends the accumulator grid into one presized buffer
+// instead of growing it by doubling or copying the grid out first.
 func TestSnapshotAllocs(t *testing.T) {
 	cfg := DefaultConfig(41)
 	cfg.SARPointsPerSortie = 8
@@ -130,9 +131,71 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Fatalf("sortie-2 checkpoint is %d bytes, want 164745", n)
 	}
 	got := testing.AllocsPerRun(5, func() { e.SnapshotCtx(ctx) })
-	if got != 11 {
-		t.Fatalf("SnapshotCtx: %v allocs/op, want 11", got)
+	if got != 10 {
+		t.Fatalf("SnapshotCtx: %v allocs/op, want 10", got)
 	}
+}
+
+// bytesPerRun reports the heap bytes f allocates per call, averaged
+// over runs calls after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestCheckpointAllocBytes pins the bytes the checkpoint codec allocates
+// at the TestSnapshotAllocs boundary. SnapshotCtx encodes the
+// accumulator grid straight from the solver, so it allocates the blob
+// and little else: no second 163,216-byte grid beside it (it allocated
+// about 339 KB while it copied the grid out first). Restore allocates
+// the engine New builds, the decoded grid it installs, and the captured
+// state, but no copy of the solver's grid to read the lattice
+// dimensions.
+func TestCheckpointAllocBytes(t *testing.T) {
+	cfg := DefaultConfig(41)
+	cfg.SARPointsPerSortie = 8
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunSorties(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	blob := e.SnapshotCtx(ctx)
+	cols, rows := e.solver.Dims()
+	grid := uint64(16 * cols * rows)
+
+	snap := bytesPerRun(8, func() { e.SnapshotCtx(ctx) })
+	if limit := uint64(len(blob)) + grid/8; snap > limit {
+		t.Errorf("SnapshotCtx allocates %d bytes per call, want at most %d (the %d-byte blob plus %d)",
+			snap, limit, len(blob), grid/8)
+	}
+	fresh := bytesPerRun(8, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	restore := bytesPerRun(8, func() {
+		if _, err := Restore(cfg, blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// New already allocates the solver's grid; Restore adds the decoded
+	// grid and the restored log, results and carryover, which stay well
+	// under another grid's worth.
+	if extra := restore - fresh; extra > grid+grid/2 {
+		t.Errorf("Restore allocates %d bytes beyond New, want at most %d (one decoded %d-byte grid plus half)",
+			extra, grid+grid/2, grid)
+	}
+	t.Logf("SnapshotCtx %d B/op (blob %d B), New %d B/op, Restore %d B/op", snap, len(blob), fresh, restore)
 }
 
 // TestMidSortieCancelReplays kills the mission in the middle of a sortie
