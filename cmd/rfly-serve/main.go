@@ -13,7 +13,8 @@
 //	                               latency histograms, obs counter registry
 //
 // internal/fleet/http.go lists the full route table, including the
-// raw-byte checkpoint, capture and replica routes.
+// raw-byte checkpoint, capture and replica routes. The replica store
+// holds checkpoints only; each embeds the mission's capture log.
 //
 // SIGINT/SIGTERM triggers a graceful drain: admission stops, in-flight
 // sorties finish, every shard's final engine checkpoint is written to

@@ -391,23 +391,6 @@ func (r *Reader) LastSortie() int {
 	return r.Segment(len(r.segOff) - 1).Sortie()
 }
 
-// Tail returns the raw bytes of every segment committed after the given
-// sortie count — the increment the federation tier ships to a replica
-// that already holds the log through afterSortie. Segments are stored in
-// sortie order, so the tail is one contiguous subslice (no copy). A
-// negative afterSortie returns the full log, header included.
-func (r *Reader) Tail(afterSortie int) []byte {
-	if afterSortie < 0 {
-		return r.data
-	}
-	for i := range r.segOff {
-		if r.Segment(i).Sortie() > afterSortie {
-			return r.data[r.segOff[i]:]
-		}
-	}
-	return nil
-}
-
 // Measurements flattens every record into localizer input order — the
 // exact stream the live engine fed its solver. (This is the one reader
 // path that allocates, for callers that need the whole history at once;

@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"go/parser"
@@ -163,42 +162,6 @@ func TestResumeContinuesSequence(t *testing.T) {
 	snap[len(snap)-1] ^= 0x40
 	if _, _, err := Resume(snap); !errors.Is(err, ErrInvalidLog) {
 		t.Fatalf("Resume on corrupt bytes = %v, want ErrInvalidLog", err)
-	}
-}
-
-// TestTailReplication exercises the federation increment protocol: a
-// replica that holds the log through sortie k appends Tail(k) verbatim
-// and ends up with a valid log equal to the primary's.
-func TestTailReplication(t *testing.T) {
-	ctx := context.Background()
-	tag := geom.P(0.5, 1.5, 0)
-	l := NewLog(testHeader())
-	l.AppendSegmentCtx(ctx, 1, synthRecords(6, 1, tag))
-	base := l.Snapshot()
-	l.AppendSegmentCtx(ctx, 3, synthRecords(4, 3, tag))
-	l.AppendSegmentCtx(ctx, 4, synthRecords(5, 4, tag))
-	full := l.Snapshot()
-
-	r, err := OpenLog(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.Tail(-1), full) {
-		t.Fatal("Tail(-1) must return the whole log")
-	}
-	if r.Tail(4) != nil {
-		t.Fatal("Tail past the newest sortie must be empty")
-	}
-	// Sortie 2 committed nothing: the tail after 1 and after 2 coincide.
-	if !bytes.Equal(r.Tail(1), r.Tail(2)) {
-		t.Fatal("tail across an empty sortie must be stable")
-	}
-	replica := append(append([]byte(nil), base...), r.Tail(1)...)
-	if !bytes.Equal(replica, full) {
-		t.Fatal("base + tail must reassemble the primary's log")
-	}
-	if _, err := OpenLog(replica); err != nil {
-		t.Fatalf("reassembled replica invalid: %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 // maxNodeResponse bounds how much of a node's response body the client
 // reads: the same 1 MiB nodes enforce on request bodies, which every
-// checkpoint or capture payload the coordinator forwards must fit anyway.
+// checkpoint the coordinator forwards must fit anyway.
 // A hostile or broken node streaming an endless body then costs one
 // bounded buffer and an error, not unbounded memory.
 const maxNodeResponse = fleet.MaxBody
@@ -243,37 +243,6 @@ func (c *Client) Await(ctx context.Context, id string, after int, wait time.Dura
 // returns ErrStatus 404.
 func (c *Client) Checkpoint(ctx context.Context, id string) (sortie int, data []byte, err error) {
 	return c.getBlob(ctx, "/v1/missions/"+id+"/checkpoint")
-}
-
-// Capture fetches a mission's capture log and the sortie count it
-// covers. after < 0 asks for the complete log; after >= 0 asks only for
-// the segment tail past that sortie (the incremental replication feed —
-// empty when the log is already current at after). A mission with no
-// committed log yet returns ErrStatus 404.
-func (c *Client) Capture(ctx context.Context, id string, after int) (sortie int, data []byte, err error) {
-	path := "/v1/missions/" + id + "/capture"
-	if after >= 0 {
-		path += "?after=" + strconv.Itoa(after)
-	}
-	return c.getBlob(ctx, path)
-}
-
-// PutCaptureReplica asks the node to hold (after == 0) or extend
-// (after > 0, raw segment-tail append) a peer mission's capture log. A
-// 409 means the node's replica is not at after — the caller's cue to
-// re-sync the full log.
-func (c *Client) PutCaptureReplica(ctx context.Context, id string, after, sortie int, data []byte) error {
-	return c.putBlob(ctx, fmt.Sprintf("/v1/capture-replicas/%s?sortie=%d&after=%d", id, sortie, after), data)
-}
-
-// GetCaptureReplica fetches a held capture-log replica back.
-func (c *Client) GetCaptureReplica(ctx context.Context, id string) (sortie int, data []byte, err error) {
-	return c.getBlob(ctx, "/v1/capture-replicas/"+id)
-}
-
-// DropCaptureReplica discards a held capture replica (best-effort).
-func (c *Client) DropCaptureReplica(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/capture-replicas/"+id, nil, "", nil)
 }
 
 // PutReplica asks the node to hold a peer mission's checkpoint.

@@ -29,10 +29,6 @@ type fedMission struct {
 	// lastSortie is the latest sortie replicated to succ, and the count
 	// the watch's long-poll waits to pass.
 	lastSortie int
-	// lastCapSortie is the latest sortie whose capture segments the
-	// successor holds; zero means the successor has no capture replica
-	// yet, so the next push ships the whole log.
-	lastCapSortie int
 
 	status    fleet.Status
 	outcome   *fleet.Outcome
@@ -52,11 +48,10 @@ type MissionView struct {
 	Outcome   *fleet.Outcome `json:"outcome,omitempty"`
 	Err       string         `json:"error,omitempty"`
 	Failovers int            `json:"failovers"`
-	// ReplicatedSortie is the newest boundary held by the successor.
+	// ReplicatedSortie is the newest boundary held by the successor
+	// (for a SAR mission, its capture log through that sortie too: the
+	// checkpoint embeds the log).
 	ReplicatedSortie int `json:"replicated_sortie"`
-	// ReplicatedCapSortie is the newest sortie whose capture segments
-	// the successor holds (SAR missions only; zero otherwise).
-	ReplicatedCapSortie int `json:"replicated_cap_sortie,omitempty"`
 }
 
 // Coordinator fronts the node fleet. Build with New, Start it, Submit
@@ -299,7 +294,6 @@ func (c *Coordinator) viewLocked(m *fedMission) MissionView {
 		ID: m.id, Region: m.region, Node: m.node, RemoteID: m.remoteID,
 		Status: m.status, Outcome: m.outcome, Err: m.errMsg,
 		Failovers: m.failovers, ReplicatedSortie: m.lastSortie,
-		ReplicatedCapSortie: m.lastCapSortie,
 	}
 }
 
@@ -329,10 +323,11 @@ func (c *Coordinator) Done(id string) <-chan struct{} {
 // watch is a mission's life-support loop: long-poll the primary for its
 // next committed sortie, replicate that boundary to the successor, and
 // fail over when the detector declares the primary dead. Each exchange
-// is one long-poll plus, when the committed count has advanced, the
-// checkpoint and capture-tail copies; an exchange that fails or finds
-// nothing new pauses PollEvery before the next, so an unreachable or
-// stopping node is not polled in a tight loop.
+// is one long-poll plus, when the committed count has advanced, one
+// checkpoint copy (a SAR mission's checkpoint embeds its whole capture
+// log, so the log needs no copy of its own); an exchange that fails or
+// finds nothing new pauses PollEvery before the next, so an unreachable
+// or stopping node is not polled in a tight loop.
 func (c *Coordinator) watch(m *fedMission) {
 	defer c.wg.Done()
 	for {
@@ -399,65 +394,15 @@ func (c *Coordinator) step(m *fedMission) (terminal, progressed bool) {
 		return false, false
 	}
 	c.m.replicated.Add(1)
+	if m.req.SARPoints > 0 {
+		c.m.sarReplicated.Add(1)
+	}
 	c.mu.Lock()
 	if sortie > m.lastSortie {
 		m.lastSortie = sortie
 	}
 	c.mu.Unlock()
-	if m.req.SARPoints > 0 {
-		c.replicateCapture(m, node, remoteID, succ)
-	}
 	return false, true
-}
-
-// replicateCapture ships a SAR mission's newly committed capture
-// segments to the successor. Unlike checkpoints — each push a complete
-// snapshot — the capture log is append-only, so only the first push (or
-// one following a successor-side mismatch) carries the whole log;
-// steady state ships just the segment tail past the successor's copy.
-// A missing log (404: nothing committed yet) is simply not replicated
-// this time.
-func (c *Coordinator) replicateCapture(m *fedMission, node, remoteID, succ string) {
-	c.mu.Lock()
-	last := m.lastCapSortie
-	c.mu.Unlock()
-
-	// last == 0 → no replica yet: fetch the complete log (after=-1).
-	// Otherwise fetch only the tail past the replicated boundary.
-	after := last
-	if last == 0 {
-		after = -1
-	}
-	sortie, data, err := c.clients[node].Capture(c.ctx, remoteID, after)
-	if err != nil || sortie <= last || len(data) == 0 {
-		return
-	}
-	_, span := obs.StartSpan(c.ctx, "fed.replicate.capture")
-	span.Str("mission", m.id).Str("to", succ).
-		Int("sortie", int64(sortie)).Bool("full", last == 0)
-	perr := c.clients[succ].PutCaptureReplica(c.ctx, m.id, last, sortie, data)
-	span.Bool("failed", perr != nil).End()
-	if perr != nil {
-		// A 4xx means the successor's replica is not where we thought
-		// (dropped, budget-evicted, or a post-failover fresh successor):
-		// forget the boundary so the next commit ships the whole log.
-		var st ErrStatus
-		if errors.As(perr, &st) && st.Code < 500 {
-			c.mu.Lock()
-			m.lastCapSortie = 0
-			c.mu.Unlock()
-		}
-		return
-	}
-	c.m.capReplicated.Add(1)
-	if last == 0 {
-		c.m.capFullSyncs.Add(1)
-	}
-	c.mu.Lock()
-	if sortie > m.lastCapSortie {
-		m.lastCapSortie = sortie
-	}
-	c.mu.Unlock()
 }
 
 // finish records a terminal node-side status and closes the mission.
@@ -474,9 +419,8 @@ func (c *Coordinator) finish(m *fedMission, mr fleet.MissionResponse) bool {
 	} else {
 		c.m.failed.Add(1)
 	}
-	// The replicas outlived their purpose; reclaim the successor's budget.
+	// The replica outlived its purpose; reclaim the successor's budget.
 	_ = c.clients[succ].DropReplica(c.ctx, m.id)
-	_ = c.clients[succ].DropCaptureReplica(c.ctx, m.id)
 	close(m.done)
 	return true
 }
@@ -531,8 +475,5 @@ func (c *Coordinator) failover(m *fedMission) {
 	m.remoteID = remoteID
 	m.failovers++
 	m.succ = c.successorLocked(m.region, node)
-	// The new successor holds no capture replica; start it from a full
-	// sync rather than a tail it would reject.
-	m.lastCapSortie = 0
 	c.mu.Unlock()
 }

@@ -26,13 +26,14 @@ func NewHandler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/missions", func(w http.ResponseWriter, r *http.Request) {
 		var in fleet.SubmitRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, fleet.MaxBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&in); err != nil {
 			writeJSON(w, http.StatusBadRequest, fleet.ErrorResponse{Error: "bad request body: " + err.Error()})
 			return
 		}
 		id, err := c.Submit(r.Context(), in)
+		var st ErrStatus
 		switch {
 		case err == nil:
 			writeJSON(w, http.StatusAccepted, fleet.SubmitResponse{ID: id, Status: fleet.StatusQueued})
@@ -40,6 +41,15 @@ func NewHandler(c *Coordinator) http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, fleet.ErrorResponse{Error: err.Error()})
 		case errors.Is(err, ErrNoNode):
 			writeJSON(w, http.StatusServiceUnavailable, fleet.ErrorResponse{Error: err.Error()})
+		case errors.As(err, &st) && st.Code >= 400 && st.Code < 500 && st.Code != http.StatusTooManyRequests:
+			// The node refused the request itself (bad region, no tags,
+			// …): every node would, so it is the client's error, not a
+			// bad gateway. Pass the node's code and message through.
+			msg := st.Msg
+			if msg == "" {
+				msg = err.Error()
+			}
+			writeJSON(w, st.Code, fleet.ErrorResponse{Error: msg})
 		default:
 			writeJSON(w, http.StatusBadGateway, fleet.ErrorResponse{Error: err.Error()})
 		}

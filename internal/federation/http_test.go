@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,4 +85,30 @@ func TestCoordinatorHTTP(t *testing.T) {
 		t.Fatalf("unknown mission status %d", r.StatusCode)
 	}
 	r.Body.Close()
+
+	// A bad submit is the client's error, never a bad gateway: a body
+	// the coordinator cannot decode is its own 400, and one every node
+	// refuses answers with the node's code and message.
+	const tag = `"tags":[{"id":1,"x":12,"y":2,"z":1}]`
+	for _, tc := range []struct {
+		name, body, msg string
+	}{
+		{"unknown region", `{"region":"nowhere",` + tag + `}`, "unknown region"},
+		{"no tags", `{"region":"dock","tags":[]}`, "at least one tag"},
+		{"negative sar_points", `{"region":"dock",` + tag + `,"sar_points":-3}`, "sar_points"},
+		{"unknown field", `{"region":"dock",` + tag + `,"bogus":1}`, "unknown field"},
+		{"body over MaxBody", `{"region":"` + strings.Repeat("x", fleet.MaxBody) + `",` + tag + `}`, "too large"},
+	} {
+		r, err := ts.Client().Post(ts.URL+"/v1/missions", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e fleet.ErrorResponse
+		derr := json.NewDecoder(r.Body).Decode(&e)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("%s: status %d, error %q (decode %v); want 400 with a JSON error naming %q",
+				tc.name, r.StatusCode, e.Error, derr, tc.msg)
+		}
+	}
 }

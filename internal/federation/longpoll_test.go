@@ -78,9 +78,6 @@ func newScriptedNode(t *testing.T, sorties int) *scriptedNode {
 		n.drops <- struct{}{}
 		writeJSON(w, http.StatusOK, map[string]any{"dropped": true})
 	})
-	mux.HandleFunc("DELETE /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, fleet.ErrorResponse{Error: "no capture replica held for that id"})
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, fleet.MetricsResponse{})
 	})
@@ -195,8 +192,8 @@ func TestWatchReplicatesEveryBoundary(t *testing.T) {
 // SAR mission through two nodes: at least one boundary replicates and
 // the final one never does (how many of the three non-final ones the
 // coordinator sees depends on sortie time against exchange time, which
-// TestWatchReplicatesEveryBoundary takes out of play), and the capture
-// log follows with one full sync.
+// TestWatchReplicatesEveryBoundary takes out of play), and every copy
+// is a SAR checkpoint carrying the whole capture log.
 func TestFederatedMissionReplicatesBeforeCompletion(t *testing.T) {
 	nodes := startNodes(t, 2, fleet.Config{Shards: 1, Sorties: 4, TicksPerSortie: 64})
 	c, err := New(fastFedConfig(urls(nodes)))
@@ -225,8 +222,8 @@ func TestFederatedMissionReplicatesBeforeCompletion(t *testing.T) {
 		t.Fatalf("replicated %d boundaries up to sortie %d; want 1–3, never the final one",
 			snap.Replicated, v.ReplicatedSortie)
 	}
-	if snap.CaptureReplicated < 1 || snap.CaptureFullSyncs != 1 {
-		t.Fatalf("capture pushes %d with %d full syncs, want at least one push and one full sync",
-			snap.CaptureReplicated, snap.CaptureFullSyncs)
+	if snap.CaptureReplicated != snap.Replicated || snap.CaptureFullSyncs != snap.Replicated {
+		t.Fatalf("capture copies %d with %d full syncs over %d replications, want all three equal",
+			snap.CaptureReplicated, snap.CaptureFullSyncs, snap.Replicated)
 	}
 }

@@ -11,14 +11,11 @@ type Metrics struct {
 	// readOnlyRejected counts submits refused while degraded.
 	readOnlyRejected atomic.Int64
 
-	// replicated counts checkpoint pushes to a successor.
-	replicated atomic.Int64
-	// capReplicated counts capture-log pushes to a successor;
-	// capFullSyncs counts the subset that shipped the whole log (first
-	// push, or an incremental tail the successor rejected) rather than
-	// just the new segments.
-	capReplicated atomic.Int64
-	capFullSyncs  atomic.Int64
+	// replicated counts checkpoint pushes to a successor; sarReplicated
+	// counts those of SAR missions, each of which carries the mission's
+	// whole capture log.
+	replicated    atomic.Int64
+	sarReplicated atomic.Int64
 	// failovers counts node-death re-leases; resumed of those restored a
 	// replicated checkpoint, reran flew from scratch under the same seed.
 	failovers atomic.Int64
@@ -31,10 +28,13 @@ type Metrics struct {
 
 // MetricsSnapshot is the JSON rendering.
 type MetricsSnapshot struct {
-	Routed            int64 `json:"routed"`
-	Spilled           int64 `json:"spilled"`
-	ReadOnlyRejected  int64 `json:"read_only_rejected"`
-	Replicated        int64 `json:"replicated"`
+	Routed           int64 `json:"routed"`
+	Spilled          int64 `json:"spilled"`
+	ReadOnlyRejected int64 `json:"read_only_rejected"`
+	Replicated       int64 `json:"replicated"`
+	// CaptureReplicated counts capture-log copies to a successor: the
+	// checkpoint replications of SAR missions. Every one carries the
+	// whole log, so CaptureFullSyncs always equals it.
 	CaptureReplicated int64 `json:"capture_replicated"`
 	CaptureFullSyncs  int64 `json:"capture_full_syncs"`
 	Failovers         int64 `json:"failovers"`
@@ -46,13 +46,14 @@ type MetricsSnapshot struct {
 
 // Snapshot renders the counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
+	sar := m.sarReplicated.Load()
 	return MetricsSnapshot{
 		Routed:            m.routed.Load(),
 		Spilled:           m.spilled.Load(),
 		ReadOnlyRejected:  m.readOnlyRejected.Load(),
 		Replicated:        m.replicated.Load(),
-		CaptureReplicated: m.capReplicated.Load(),
-		CaptureFullSyncs:  m.capFullSyncs.Load(),
+		CaptureReplicated: sar,
+		CaptureFullSyncs:  sar,
 		Failovers:         m.failovers.Load(),
 		Resumed:           m.resumed.Load(),
 		Reran:             m.reran.Load(),

@@ -117,6 +117,10 @@ func TestResumeBitIdentical(t *testing.T) {
 	if v.Status != StatusDone || v.Outcome == nil || !v.Outcome.LocOK {
 		t.Fatalf("primary mission did not localize: %+v", v)
 	}
+	primaryLog, _, ok := primary.Capture(id)
+	if !ok {
+		t.Fatal("primary published no capture log")
+	}
 	primary.Stop(context.Background())
 
 	// Replica node: resume from the captured boundary.
@@ -147,6 +151,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 	if got := replica.Metrics().Snapshot().Resumed; got != 1 {
 		t.Fatalf("resumed counter %d, want 1", got)
+	}
+	// The checkpoint is the only replica: the capture log it embeds must
+	// carry the resumed node to the primary's log, byte for byte.
+	replicaLog, _, ok := replica.Capture(rid)
+	if !ok || !bytes.Equal(replicaLog, primaryLog) {
+		t.Fatalf("resumed capture log (%d bytes, ok %v) != primary's (%d bytes)",
+			len(replicaLog), ok, len(primaryLog))
 	}
 }
 

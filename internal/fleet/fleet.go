@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"rfly/internal/capture"
 	"rfly/internal/obs"
 	"rfly/internal/runtime"
 )
@@ -122,10 +121,6 @@ type Scheduler struct {
 	// this node after the primary dies).
 	replicas *replicaStore
 
-	// capReplicas holds peer missions' capture logs, replicated segment
-	// by segment (the increments ride CaptureTail, not whole snapshots).
-	capReplicas *replicaStore
-
 	wg sync.WaitGroup
 }
 
@@ -136,14 +131,13 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
-		cfg:         cfg,
-		m:           newMetrics(cfg.Shards),
-		runCtx:      ctx,
-		runStop:     cancel,
-		records:     make(map[string]*mission),
-		drain:       make([][]byte, cfg.Shards),
-		replicas:    newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
-		capReplicas: newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
+		cfg:      cfg,
+		m:        newMetrics(cfg.Shards),
+		runCtx:   ctx,
+		runStop:  cancel,
+		records:  make(map[string]*mission),
+		drain:    make([][]byte, cfg.Shards),
+		replicas: newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -347,56 +341,6 @@ func (s *Scheduler) Capture(id string) (data []byte, sortie int, ok bool) {
 		return nil, 0, false
 	}
 	return m.capture, m.committed, true
-}
-
-// CaptureTail returns the capture log's segments committed after
-// afterSortie (negative → the full log, header included) plus the
-// sortie count the full log covers. tail is nil when the replica at
-// afterSortie is already current.
-func (s *Scheduler) CaptureTail(id string, afterSortie int) (tail []byte, sortie int, ok bool) {
-	data, sortie, ok := s.Capture(id)
-	if !ok {
-		return nil, 0, false
-	}
-	rd, err := capture.OpenLog(data)
-	if err != nil {
-		// The engine publishes only logs its own writer sealed; an
-		// unreadable one here is a bug, not a caller error.
-		return nil, 0, false
-	}
-	return rd.Tail(afterSortie), sortie, true
-}
-
-// PutCaptureReplica stores or extends a capture-log replica this node
-// holds for a federation peer: after == 0 installs a complete log (kept
-// as data itself, like PutReplica), after > 0 appends the raw segment
-// tail to a replica held at exactly that sortie count (a mismatch
-// rejects, and the sender re-syncs full).
-func (s *Scheduler) PutCaptureReplica(id string, after, sortie int, data []byte) error {
-	err := s.capReplicas.putCapture(id, after, sortie, data)
-	if err == nil {
-		s.m.capReplicaPuts.Add(1)
-		held, bytes := s.capReplicas.stats()
-		s.m.capReplicasHeld.Store(held)
-		s.m.capReplicaBytes.Store(bytes)
-	}
-	return err
-}
-
-// GetCaptureReplica returns a held capture-log replica.
-func (s *Scheduler) GetCaptureReplica(id string) (sortie int, data []byte, ok bool) {
-	return s.capReplicas.get(id)
-}
-
-// DropCaptureReplica discards a held capture-log replica.
-func (s *Scheduler) DropCaptureReplica(id string) bool {
-	ok := s.capReplicas.drop(id)
-	if ok {
-		held, bytes := s.capReplicas.stats()
-		s.m.capReplicasHeld.Store(held)
-		s.m.capReplicaBytes.Store(bytes)
-	}
-	return ok
 }
 
 // PutReplica stores a checkpoint this node holds on behalf of a

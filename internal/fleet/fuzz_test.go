@@ -72,32 +72,6 @@ func FuzzReplicaPut(f *testing.F) {
 	})
 }
 
-// FuzzCaptureReplicaPut: PUT /v1/capture-replicas/{id}?query with a raw
-// capture-log (or segment-tail) body, against a replica held at sortie
-// 2. A held log's sortie count never moves backwards, and a tail append
-// extends it by exactly the body.
-func FuzzCaptureReplicaPut(f *testing.F) {
-	f.Add("after=2&sortie=3", []byte("RSEG"))
-	f.Fuzz(func(t *testing.T, query string, body []byte) {
-		s := fuzzScheduler(t)
-		base := []byte("RCAP-base")
-		if err := s.PutCaptureReplica("m-1", 0, 2, base); err != nil {
-			t.Fatal(err)
-		}
-		rec := serveOnce(s, http.MethodPut, "/v1/capture-replicas/m-1", query, body)
-		requireTyped(t, rec)
-		sortie, held, ok := s.GetCaptureReplica("m-1")
-		if !ok || sortie < 2 {
-			t.Fatalf("held capture replica at sortie %d (ok %v) after a PUT that answered %d", sortie, ok, rec.Code)
-		}
-		q, _ := url.ParseQuery(query)
-		want := append(append([]byte(nil), base...), body...)
-		if rec.Code == http.StatusOK && q.Get("after") == "2" && !bytes.Equal(held, want) {
-			t.Fatal("tail append did not extend the held log by exactly the body")
-		}
-	})
-}
-
 // FuzzSubmitBody: POST /v1/missions with an arbitrary JSON body, against
 // a stopped scheduler whose queue holds two missions.
 func FuzzSubmitBody(f *testing.F) {

@@ -30,23 +30,18 @@ import (
 //	                                    sortie that served the mission
 //	GET    /v1/missions/{id}/checkpoint latest committed sortie-boundary
 //	                                    checkpoint (the replication source)
-//	GET    /v1/missions/{id}/capture    latest committed capture log
-//	                                    (?after=N returns only the segment
-//	                                    tail past sortie N — the federation
-//	                                    tier's incremental replication feed)
+//	GET    /v1/missions/{id}/capture    latest committed capture log (the
+//	                                    checkpoint embeds the same bytes, so
+//	                                    a checkpoint replica carries it too)
 //	POST   /v1/missions/{id}/replay     re-solve the mission from its capture
 //	                                    log under caller-chosen grid /
 //	                                    robustness settings (milliseconds; no
 //	                                    engine, no sim)
 //	DELETE /v1/missions/{id}            cancel
 //	PUT    /v1/replicas/{id}?sortie=N   hold a peer mission's checkpoint
+//	                                    (capture log included)
 //	GET    /v1/replicas/{id}            fetch a held replica
 //	DELETE /v1/replicas/{id}            discard a held replica
-//	PUT    /v1/capture-replicas/{id}?sortie=N[&after=M]
-//	                                    hold (or extend, segment-append) a
-//	                                    peer mission's capture log
-//	GET    /v1/capture-replicas/{id}    fetch a held capture replica
-//	DELETE /v1/capture-replicas/{id}    discard a held capture replica
 //	GET    /healthz                     liveness + drain state
 //	GET    /metrics                     counter snapshot (queue depth, shard
 //	                                    utilization, batch + latency histograms,
@@ -56,11 +51,12 @@ import (
 // checkpoint or capture-log bytes travel raw, as an
 // application/octet-stream body, never as base64 inside JSON. A blob
 // response carries its sortie count in the X-Rfly-Sortie header; a blob
-// PUT names it in the sortie query parameter (and a capture tail its
-// base in after). Every other body, errors included, is JSON.
+// PUT names it in the sortie query parameter. Every other body, errors
+// included, is JSON.
 
 // MaxBody bounds every request body a node reads, JSON or raw: a
-// checkpoint or capture log the federation tier replicates must fit.
+// checkpoint the federation tier replicates, capture log included, must
+// fit.
 const MaxBody = 1 << 20
 
 // SortieHeader carries a blob response's sortie count: how many sorties
@@ -187,24 +183,6 @@ func NewHandler(s *Scheduler) http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/missions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		handleCancel(s, w, r)
-	})
-	mux.HandleFunc("PUT /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		handleCaptureReplicaPut(s, w, r)
-	})
-	mux.HandleFunc("GET /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		sortie, data, ok := s.GetCaptureReplica(r.PathValue("id"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no capture replica held for that id"})
-			return
-		}
-		writeBlob(w, sortie, data)
-	})
-	mux.HandleFunc("DELETE /v1/capture-replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !s.DropCaptureReplica(r.PathValue("id")) {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no capture replica held for that id"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"dropped": true})
 	})
 	mux.HandleFunc("PUT /v1/replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
 		handleReplicaPut(s, w, r)
@@ -408,20 +386,6 @@ func handleCapture(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown mission id"})
 		return
 	}
-	if q := r.URL.Query().Get("after"); q != "" {
-		after, err := strconv.Atoi(q)
-		if err != nil || after < 0 {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "after must be a non-negative integer"})
-			return
-		}
-		tail, sortie, ok := s.CaptureTail(id, after)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "mission has no committed capture log yet"})
-			return
-		}
-		writeBlob(w, sortie, tail)
-		return
-	}
 	data, sortie, ok := s.Capture(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "mission has no committed capture log yet"})
@@ -474,36 +438,6 @@ func handleReplay(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		Segments: res.Segments,
 		Records:  res.Records,
 	})
-}
-
-// handleCaptureReplicaPut holds or extends a peer's capture log. The
-// after query parameter is the sortie the receiver is expected to hold
-// already: absent or zero installs the body as a complete log; non-zero
-// appends it (raw segment tail bytes) to a replica at exactly that
-// sortie, and a mismatch is a 409 — the sender's cue to fall back to a
-// full sync.
-func handleCaptureReplicaPut(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sortie, err := queryInt(q, "sortie")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	after, err := queryInt(q, "after")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	blob, err := ReadBlob(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if err := s.PutCaptureReplica(r.PathValue("id"), after, sortie, blob); err != nil {
-		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"held": true, "sortie": sortie})
 }
 
 func handleReplicaGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {

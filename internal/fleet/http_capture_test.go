@@ -45,9 +45,9 @@ func sarServer(t *testing.T) (*httptest.Server, *Scheduler, string, View) {
 	return ts, s, sub.ID, v
 }
 
-// TestHTTPCaptureDownloadAndTail: a finished SAR mission serves its full
-// capture log, a ?after= segment tail, and an empty tail once current.
-func TestHTTPCaptureDownloadAndTail(t *testing.T) {
+// TestHTTPCaptureDownload: a finished SAR mission serves its full
+// capture log, one sealed segment per sortie.
+func TestHTTPCaptureDownload(t *testing.T) {
 	ts, _, id, _ := sarServer(t)
 
 	// get returns a blob route's body and sortie header.
@@ -80,26 +80,6 @@ func TestHTTPCaptureDownloadAndTail(t *testing.T) {
 		t.Fatalf("served log has %d segments, want 2", rd.NumSegments())
 	}
 
-	// Tail past sortie 1: exactly the second segment's bytes, and
-	// appending them to a sortie-1 prefix must re-decode.
-	tb, sortie := get(ts.URL+"/v1/missions/"+id+"/capture?after=1", http.StatusOK)
-	if sortie != "2" || len(tb) == 0 {
-		t.Fatalf("tail response: sortie %q, %d bytes", sortie, len(tb))
-	}
-	if !bytes.HasSuffix(blob, tb) || len(tb) >= len(blob) {
-		t.Fatal("tail bytes are not a proper suffix of the full log")
-	}
-	if _, err := capture.OpenLog(blob[:len(blob)-len(tb)]); err != nil {
-		t.Fatalf("full log minus tail is not a sealed sortie-1 log: %v", err)
-	}
-
-	// Already current: empty tail.
-	cur, sortie := get(ts.URL+"/v1/missions/"+id+"/capture?after=2", http.StatusOK)
-	if sortie != "2" || len(cur) != 0 {
-		t.Fatalf("current-tail response: sortie %q, %d bytes", sortie, len(cur))
-	}
-
-	get(ts.URL+"/v1/missions/"+id+"/capture?after=-1", http.StatusBadRequest)
 	get(ts.URL+"/v1/missions/nope/capture", http.StatusNotFound)
 }
 
@@ -173,94 +153,4 @@ func TestHTTPReplay(t *testing.T) {
 	replay(`{"grid":1e-6}`, http.StatusUnprocessableEntity)
 	replay(`{"grid":0.0003}`, http.StatusUnprocessableEntity)
 	replay(`{"fine":1e-7}`, http.StatusUnprocessableEntity)
-}
-
-// TestHTTPCaptureReplica: the capture-replica store over HTTP — full
-// install, segment-tail extension, conflict on a mismatched base, and
-// the GET/DELETE pair.
-func TestHTTPCaptureReplica(t *testing.T) {
-	ts, s, id, _ := sarServer(t)
-
-	resp, err := ts.Client().Get(ts.URL + "/v1/missions/" + id + "/capture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Split the served log at the sortie-1 boundary using the reader's
-	// own tail computation.
-	rd, err := capture.OpenLog(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := rd.Tail(1)
-	prefix := blob[:len(blob)-len(tail)]
-
-	put := func(query string, body []byte, wantStatus int) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/capture-replicas/fed-cap?"+query, bytes.NewReader(body))
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("capture-replica put: status %d, want %d", resp.StatusCode, wantStatus)
-		}
-	}
-
-	// Full install at sortie 1, then the incremental tail to sortie 2.
-	put("sortie=1", prefix, http.StatusOK)
-	put("after=1&sortie=2", tail, http.StatusOK)
-
-	// A second tail claiming the same base must conflict (replica is at
-	// sortie 2 now) — the sender's cue to full-sync.
-	put("after=1&sortie=2", tail, http.StatusConflict)
-
-	// The held replica is byte-identical to the source log and decodes.
-	gresp, err := ts.Client().Get(ts.URL + "/v1/capture-replicas/fed-cap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := io.ReadAll(gresp.Body)
-	gresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if held := gresp.Header.Get(SortieHeader); held != "2" || !bytes.Equal(hb, blob) {
-		t.Fatalf("held replica sortie %q, bytes equal %v", held, bytes.Equal(hb, blob))
-	}
-	if _, err := capture.OpenLog(hb); err != nil {
-		t.Fatalf("reassembled replica does not decode: %v", err)
-	}
-
-	snap := s.Metrics().Snapshot()
-	if snap.CaptureReplicaPuts != 2 || snap.CaptureReplicasHeld != 1 || snap.CaptureReplicaBytes != int64(len(blob)) {
-		t.Fatalf("capture replica metrics %+v", snap)
-	}
-
-	dreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/capture-replicas/fed-cap", nil)
-	dresp, err := ts.Client().Do(dreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("capture-replica delete status %d", dresp.StatusCode)
-	}
-	dresp2, err := ts.Client().Do(dreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp2.Body.Close()
-	if dresp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("second delete status %d, want 404", dresp2.StatusCode)
-	}
-	if got := s.Metrics().Snapshot().CaptureReplicasHeld; got != 0 {
-		t.Fatalf("capture_replicas_held %d after drop, want 0", got)
-	}
 }

@@ -80,14 +80,9 @@ type Metrics struct {
 	replicaBytes atomic.Int64
 
 	// capturePubs counts capture-log publications at sortie commits;
-	// replays counts replay solves served from held logs; the
-	// capReplica* trio mirrors the checkpoint replica gauges for the
-	// capture-segment replica store.
-	capturePubs     atomic.Int64
-	replays         atomic.Int64
-	capReplicaPuts  atomic.Int64
-	capReplicasHeld atomic.Int64
-	capReplicaBytes atomic.Int64
+	// replays counts replay solves served from held logs.
+	capturePubs atomic.Int64
+	replays     atomic.Int64
 
 	shardBusyNs []atomic.Int64
 
@@ -133,9 +128,6 @@ type Snapshot struct {
 
 	CapturePublications int64 `json:"capture_publications"`
 	Replays             int64 `json:"replays"`
-	CaptureReplicaPuts  int64 `json:"capture_replica_puts"`
-	CaptureReplicasHeld int64 `json:"capture_replicas_held"`
-	CaptureReplicaBytes int64 `json:"capture_replica_bytes"`
 
 	// ShardBusyPct is the fraction of the fleet's shard-seconds spent
 	// flying sorties since start.
@@ -172,9 +164,6 @@ func (m *Metrics) Snapshot() Snapshot {
 
 		CapturePublications: m.capturePubs.Load(),
 		Replays:             m.replays.Load(),
-		CaptureReplicaPuts:  m.capReplicaPuts.Load(),
-		CaptureReplicasHeld: m.capReplicasHeld.Load(),
-		CaptureReplicaBytes: m.capReplicaBytes.Load(),
 		WaitLatency:         histSnap(m.wait),
 		RunLatency:          histSnap(m.run),
 		E2ELatency:          histSnap(m.e2e),

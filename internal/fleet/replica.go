@@ -22,8 +22,9 @@ type replicaErr struct{ msg string }
 
 func (e replicaErr) Error() string { return "fleet: " + e.msg }
 
-// replica is one held checkpoint or capture log. put keeps the bytes it
-// is given rather than copying them; get hands out copies.
+// replica is one held checkpoint (a SAR mission's embeds its capture
+// log). put keeps the bytes it is given rather than copying them; get
+// hands out copies.
 type replica struct {
 	sortie int
 	data   []byte
@@ -103,49 +104,4 @@ func (r *replicaStore) stats() (held, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return int64(len(r.m)), r.bytes
-}
-
-// putCapture installs or extends a held capture-log replica. after is
-// the sortie count the sender believes this node already holds: zero
-// means data is a complete log (install or monotone replace — the
-// first-sync and re-sync path), a positive value means data is the raw
-// tail of segments after that sortie and must extend a replica held at
-// exactly that count. The store never decodes the bytes; a mismatched
-// extension is rejected so the sender falls back to a full sync, and
-// structural validation happens where it matters — when a coordinator
-// replays the log after a failover.
-func (r *replicaStore) putCapture(id string, after, sortie int, data []byte) error {
-	if after == 0 {
-		return r.put(id, sortie, data)
-	}
-	if id == "" {
-		return replicaErr{"replica needs a mission id"}
-	}
-	if len(data) == 0 {
-		return replicaErr{"capture tail needs non-empty segment bytes"}
-	}
-	if after < 0 || sortie <= after {
-		return replicaErr{fmt.Sprintf("capture tail range (%d, %d] is not ahead", after, sortie)}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old, exists := r.m[id]
-	if !exists {
-		return replicaErr{fmt.Sprintf("no capture base for %s to extend past sortie %d", id, after)}
-	}
-	if old.sortie != after {
-		return replicaErr{fmt.Sprintf("capture base for %s holds sortie %d, tail extends %d",
-			id, old.sortie, after)}
-	}
-	newBytes := r.bytes + int64(len(data))
-	if newBytes > r.maxBytes {
-		return replicaErr{fmt.Sprintf("replica store over byte budget (%d + %d > %d)",
-			r.bytes, len(data), r.maxBytes)}
-	}
-	// The full-slice expression makes the append copy: the base may be
-	// the caller's buffer (put keeps what it is given), and its spare
-	// capacity is not the store's to write.
-	r.m[id] = replica{sortie: sortie, data: append(old.data[:len(old.data):len(old.data)], data...)}
-	r.bytes = newBytes
-	return nil
 }

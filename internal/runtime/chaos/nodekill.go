@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -29,7 +30,9 @@ import (
 //     fresh rerun) — the replica a live successor held when the
 //     primary died;
 //   - the resumed mission's localization and per-tag read counts are
-//     bit-identical to an in-process twin that was never interrupted.
+//     bit-identical to an in-process twin that was never interrupted;
+//   - the final primary publishes the twin's capture log byte for byte,
+//     though the log reached it only inside the replicated checkpoint.
 //
 // The schedule is deterministic per (BaseSeed, seed): mission seed,
 // region, and kill boundary all derive from the campaign's rng stream,
@@ -333,6 +336,20 @@ func runNodeKill(ctx context.Context, seed int, ncfg fleet.Config, nodeCount int
 		violations = append(violations, Violation{seed, "checkpoint-resume",
 			fmt.Sprintf("re-lease resumed %d missions from replicas (reran %d), want a resume",
 				snap.Resumed, snap.Reran)})
+	}
+
+	// The checkpoint replica is the log's only copy: the resumed primary
+	// must publish exactly the log the twin recorded.
+	var finalLog []byte
+	for _, n := range nodes {
+		if n.url == view.Node && !n.killed {
+			finalLog, _, _ = n.sched.Capture(view.RemoteID)
+		}
+	}
+	if twinLog := twinEng.CaptureLog(); !bytes.Equal(finalLog, twinLog) {
+		violations = append(violations, Violation{seed, "capture-log",
+			fmt.Sprintf("final primary's capture log (%d bytes) differs from the twin's (%d bytes)",
+				len(finalLog), len(twinLog))})
 	}
 
 	// Bit-identical means identical float64s and read counts, not

@@ -11,8 +11,9 @@ import (
 // serving node after a randomly drawn checkpoint boundary replicated.
 // Every mission must complete through exactly one failover, every
 // failover must resume from the replicated checkpoint (not rerun from
-// scratch), and every resumed localization must be bit-identical to
-// the uninterrupted twin.
+// scratch), every resumed localization must be bit-identical to the
+// uninterrupted twin, and the final primary's capture log must equal
+// the twin's byte for byte.
 func TestNodeKillCampaign(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
