@@ -381,9 +381,12 @@ func (c *Coordinator) step(m *fedMission) (terminal, progressed bool) {
 		return false, false // the wait expired with nothing new
 	}
 
-	// Replicate the newly committed boundary.
+	// Replicate the newly committed boundary. A checkpoint from a later
+	// sortie than the poll answered for means a commit landed in between,
+	// and it may be the final one, which is never copied: go back to the
+	// poll, which answers for a later boundary only if it is not final.
 	sortie, ckpt, err := c.clients[node].Checkpoint(c.ctx, remoteID)
-	if err != nil || sortie <= lastSortie {
+	if err != nil || sortie != mr.Committed {
 		return false, false
 	}
 	_, span := obs.StartSpan(c.ctx, "fed.replicate")

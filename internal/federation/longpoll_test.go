@@ -29,6 +29,11 @@ type scriptedNode struct {
 	committed int
 	status    fleet.Status
 	changed   chan struct{} // closed and replaced at every change
+	// onCheckpoint, when set, runs once at the next checkpoint GET before
+	// the handler reads the committed count: a commit it makes lands
+	// between the long-poll's answer and the checkpoint the coordinator
+	// fetches for it.
+	onCheckpoint func()
 
 	// puts receives the sortie of every replica PUT this node accepts,
 	// drops every replica DELETE. Both are buffered past any one test's
@@ -58,6 +63,13 @@ func newScriptedNode(t *testing.T, sorties int) *scriptedNode {
 		writeJSON(w, http.StatusOK, n.await(r.Context(), after, time.Duration(ms)*time.Millisecond))
 	})
 	mux.HandleFunc("GET /v1/missions/m-1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+		n.mu.Lock()
+		hook := n.onCheckpoint
+		n.onCheckpoint = nil
+		n.mu.Unlock()
+		if hook != nil {
+			hook()
+		}
 		n.mu.Lock()
 		sortie := n.committed
 		n.mu.Unlock()
@@ -185,6 +197,71 @@ func TestWatchReplicatesEveryBoundary(t *testing.T) {
 	}
 	if got := c.Metrics().Snapshot().Replicated; got != 3 {
 		t.Fatalf("replicated %d boundaries, want 3", got)
+	}
+}
+
+// TestWatchNeverCopiesFinalCheckpoint: when the final sortie commits
+// between the long-poll's answer for sortie 3 and the checkpoint GET,
+// the fetched checkpoint is the final one. The coordinator must not copy
+// it; it goes back to the poll, which never answers at the final
+// boundary, and sees the mission complete with sortie 2 replicated.
+func TestWatchNeverCopiesFinalCheckpoint(t *testing.T) {
+	a, b := newScriptedNode(t, 4), newScriptedNode(t, 4)
+	c, err := New(fastFedConfig([]string{a.ts.URL, b.ts.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	id, err := c.Submit(context.Background(), fleet.SubmitRequest{Region: "dock", Tags: fedTags(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, succ := a, b
+	b.mu.Lock()
+	if b.submitted {
+		primary, succ = b, a
+	}
+	b.mu.Unlock()
+
+	for k := 1; k <= 2; k++ {
+		primary.commit(k)
+		if got := recvInt(t, succ.puts, fmt.Sprintf("the sortie-%d replica", k)); got != k {
+			t.Fatalf("replicated sortie %d after commit %d", got, k)
+		}
+	}
+	raced := make(chan struct{})
+	primary.mu.Lock()
+	primary.onCheckpoint = func() {
+		primary.commit(4)
+		close(raced)
+	}
+	primary.mu.Unlock()
+	primary.commit(3)
+	select {
+	case <-raced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never fetched the sortie-3 checkpoint")
+	}
+	primary.finish()
+	select {
+	case <-c.Done(id):
+	case <-time.After(10 * time.Second):
+		t.Fatal("mission never completed")
+	}
+	select {
+	case <-succ.drops:
+	case <-time.After(10 * time.Second):
+		t.Fatal("completion did not drop the replica")
+	}
+	select {
+	case k := <-succ.puts:
+		t.Fatalf("replicated sortie %d after the final sortie committed", k)
+	default:
+	}
+	if v, _ := c.Get(id); v.Status != fleet.StatusDone || v.ReplicatedSortie != 2 {
+		t.Fatalf("mission %s with replicated sortie %d, want done at 2", v.Status, v.ReplicatedSortie)
 	}
 }
 

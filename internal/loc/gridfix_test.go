@@ -29,7 +29,9 @@ func syntheticPeakMeas(tgt geom.Point, freq float64) []Measurement {
 // grid must be origin + i·step, so the returned peak is bitwise equal to
 // a lattice point even at far-range coordinates where accumulated float
 // stepping drifts. Pre-fix (accumulating `yy += fineRes`), the returned
-// coordinate at cx ≈ 1000 m matches no lattice value bitwise.
+// coordinate at cx ≈ 1000 m matches no lattice value bitwise. The window
+// is refined through refineAndPick with one peak, whose one-cell heatmap
+// centers it exactly on (cx, cy).
 func TestRefine2DStaysOnLattice(t *testing.T) {
 	const (
 		freq      = 915e6
@@ -42,10 +44,17 @@ func TestRefine2DStaysOnLattice(t *testing.T) {
 	tgt := geom.P(ox+17*fineRes, oy+4*fineRes, 0)
 	meas := syntheticPeakMeas(tgt, freq)
 
-	x, y, v, err := refine2D(context.Background(), meas, cx, cy, coarseRes, fineRes, freq)
-	if err != nil || v <= 0 {
-		t.Fatalf("refine2D found no peak (v=%v, err=%v)", v, err)
+	hm := stats.NewHeatmap(cx-0.5, cy-0.5, 1, 1, 1, 1)
+	if hx, hy := hm.CellCenter(0, 0); hx != cx || hy != cy {
+		t.Fatalf("heatmap cell center (%.17g, %.17g), want (%v, %v)", hx, hy, cx, cy)
 	}
+	cfg := DefaultConfig(freq)
+	cfg.CoarseRes, cfg.FineRes = coarseRes, fineRes
+	res, err := refineAndPick(context.Background(), meas, trajOf(meas), cfg, hm, []gridPeak{{c: 0, r: 0, v: 1}})
+	if err != nil || res.Peak <= 0 {
+		t.Fatalf("refineAndPick found no peak (res=%+v, err=%v)", res, err)
+	}
+	x, y := res.Location.X, res.Location.Y
 	n := gridCount(2*coarseRes, fineRes)
 	if n != 21 {
 		t.Fatalf("gridCount(%v, %v) = %d, want 21", 2*coarseRes, fineRes, n)

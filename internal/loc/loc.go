@@ -195,10 +195,10 @@ func projection(meas []Measurement, x, y, z, freq float64) float64 {
 //
 // The coarse grid is the StreamSolver fold with the whole aperture as one
 // batch, its rows striped across a GOMAXPROCS worker pool (cfg.Workers
-// overrides; results are bit-identical for every worker count). ctx is
-// checked once per row inside every stripe plus once per peak refinement;
-// a cancelled search returns ctx's error rather than a half-integrated
-// heatmap.
+// overrides; results are bit-identical for every worker count), and the
+// fine refinement stripes its window rows across the same pool. ctx is
+// checked once per row inside every stripe of both passes; a cancelled
+// search returns ctx's error rather than a half-integrated heatmap.
 func LocalizeCtx(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Config) (*Result, error) {
 	rr, err := solve(ctx, meas, traj, cfg, false)
 	if err != nil {
@@ -227,26 +227,59 @@ func solve(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Co
 }
 
 // refineAndPick refines the coarse peaks and applies the multipath rule;
-// finalize runs it for every 2D solve. Each coarse peak is hill-refined on the fine lattice, then the
-// multipath rule (§5.2) picks the answer: among candidates within threshold
-// of the best, choose the one closest to the trajectory — but only consider
-// candidates far enough from the global maximum to be genuine ghost images
-// rather than sidelobes of the same peak.
+// finalize runs it for every 2D solve. Each coarse peak is hill-refined on
+// the fine lattice, then the multipath rule (§5.2) picks the answer: among
+// candidates within threshold of the best, choose the one closest to the
+// trajectory — but only consider candidates far enough from the global
+// maximum to be genuine ghost images rather than sidelobes of the same peak.
+//
+// The refinement searches a fine window of ±CoarseRes around each peak's
+// cell center. Every peak's window rows, flattened peak by peak, go through
+// one stripeRows fan-out; each row keeps its argmax with strict > in x
+// order, and each peak merges its rows in ascending y order on the caller's
+// goroutine, so the candidates are the serial window scan's bits for any
+// worker count. The windows are integer-indexed (origin + i·FineRes):
+// accumulating float adds drifts off-lattice at far-range coordinates —
+// ulp(500 m) × dozens of steps exceeds any epsilon guard — skipping the
+// final row/column and returning a peak that is not a lattice point. ctx
+// is checked once per row; a cancelled search returns ctx's error.
 func refineAndPick(ctx context.Context, meas []Measurement, traj geom.Trajectory, cfg Config, hm *stats.Heatmap, peaks []gridPeak) (*Result, error) {
 	if len(peaks) == 0 {
 		return nil, fmt.Errorf("loc: no peaks above threshold")
 	}
-	cands := make([]Candidate, 0, len(peaks))
-	for _, p := range peaks {
+	n := gridCount(2*cfg.CoarseRes, cfg.FineRes)
+	type rowBest struct{ v, x, y float64 }
+	rows := make([]rowBest, len(peaks)*n)
+	err := stripeRows(ctx, len(rows), cfg.Workers, func(j int) {
+		p := peaks[j/n]
 		cx, cy := hm.CellCenter(p.c, p.r)
-		fx, fy, fv, err := refine2D(ctx, meas, cx, cy, cfg.CoarseRes, cfg.FineRes, cfg.Freq)
-		if err != nil {
-			return nil, fmt.Errorf("loc: search abandoned during refinement: %w", err)
+		ox := cx - cfg.CoarseRes
+		y := cy - cfg.CoarseRes + float64(j%n)*cfg.FineRes
+		rb := rowBest{v: -1}
+		for ix := 0; ix < n; ix++ {
+			x := ox + float64(ix)*cfg.FineRes
+			if v := projection(meas, x, y, 0, cfg.Freq); v > rb.v {
+				rb = rowBest{v: v, x: x, y: y}
+			}
 		}
-		loc := geom.P2(fx, fy)
+		rows[j] = rb
+	})
+	if err != nil {
+		return nil, fmt.Errorf("loc: search abandoned during refinement: %w", err)
+	}
+	cands := make([]Candidate, 0, len(peaks))
+	for i, p := range peaks {
+		cx, cy := hm.CellCenter(p.c, p.r)
+		best := rowBest{v: -1, x: cx, y: cy}
+		for _, rb := range rows[i*n : (i+1)*n] {
+			if rb.v > best.v {
+				best = rb
+			}
+		}
+		loc := geom.P2(best.x, best.y)
 		cands = append(cands, Candidate{
 			Location:       loc,
-			Value:          fv,
+			Value:          best.v,
 			TrajectoryDist: traj.DistToPoint(loc),
 		})
 	}
@@ -260,33 +293,6 @@ func refineAndPick(ctx context.Context, meas []Measurement, traj geom.Trajectory
 		}
 	}
 	return &Result{Location: best.Location, Peak: best.Value, Candidates: cands, Heatmap: hm}, nil
-}
-
-// refine2D hill-searches a fine grid of ±coarseRes around (cx, cy). The
-// grid is integer-indexed (origin + i·fineRes): accumulating float adds
-// drift off-lattice at far-range coordinates — ulp(500 m) × dozens of
-// steps exceeds any epsilon guard — skipping the final row/column and
-// returning a peak that is not a lattice point. ctx is checked once per
-// row; a cancelled search returns ctx's error.
-func refine2D(ctx context.Context, meas []Measurement, cx, cy, coarseRes, fineRes, freq float64) (x, y, v float64, err error) {
-	n := gridCount(2*coarseRes, fineRes)
-	ox, oy := cx-coarseRes, cy-coarseRes
-	bestV := -1.0
-	bestX, bestY := cx, cy
-	for iy := 0; iy < n; iy++ {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
-		yy := oy + float64(iy)*fineRes
-		for ix := 0; ix < n; ix++ {
-			xx := ox + float64(ix)*fineRes
-			p := projection(meas, xx, yy, 0, freq)
-			if p > bestV {
-				bestV, bestX, bestY = p, xx, yy
-			}
-		}
-	}
-	return bestX, bestY, bestV, nil
 }
 
 // normalizeAmplitudes returns measurements scaled to unit magnitude

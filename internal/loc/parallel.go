@@ -8,7 +8,8 @@ import (
 	"rfly/internal/obs"
 )
 
-// Parallel grid execution for the SAR search. The heatmap is partitioned
+// Parallel grid execution for the SAR search: the coarse fold, the fine
+// refinement windows (refineAndPick) and the 3D scan. The heatmap is partitioned
 // into contiguous row stripes, one per worker; every cell of P(x,y) is
 // independent (a pure function of the measurements and the cell center),
 // so workers write disjoint rows and the filled grid is bitwise identical

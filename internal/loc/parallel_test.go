@@ -230,3 +230,19 @@ func BenchmarkStream(b *testing.B) {
 		}
 	})
 }
+
+// TestRefineStripedOnTestbed holds the Figure-12 testbed solve, whose
+// refinement stripes its candidate's 21 fine window rows across the
+// worker pool, to the serial solve's bits — location, peak and every
+// candidate — at worker counts that split the rows unevenly.
+func TestRefineStripedOnTestbed(t *testing.T) {
+	meas, traj, cfg, serial := serialTestbed(t)
+	for _, workers := range []int{2, 3, 8} {
+		cfg.Workers = workers
+		par, err := loc.LocalizeCtx(context.Background(), meas, traj, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sameResult(t, fmt.Sprintf("refine workers=%d", workers), par, serial)
+	}
+}

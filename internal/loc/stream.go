@@ -49,6 +49,13 @@ type StreamSolver struct {
 	// total counts every capture added; len(kept) is what survived
 	// robust rejection.
 	total int
+	// memo is the last successful Snapshot, taken at memoTotal captures.
+	// AddBatch moves total past it; Restore clears it and bumps restores,
+	// so a Snapshot still finalizing across a Restore does not store a
+	// result for state the solver no longer holds.
+	memo      *RobustResult
+	memoTotal int
+	restores  uint64
 }
 
 // NewStreamSolver builds a streaming accumulator whose Snapshot matches
@@ -225,25 +232,49 @@ func (s *StreamSolver) Restore(sum []complex128, history []Measurement) error {
 	s.traj = s.traj[:0]
 	s.kept = s.kept[:0]
 	s.total = 0
+	s.memo = nil
+	s.restores++
 	s.admit(history)
 	return nil
 }
 
 // Snapshot finalizes the current stream without consuming it: the partial
 // sums become a heatmap (one |·| per cell) and go through the same
-// finalize step as the batch solves. Later batches keep accumulating;
-// the returned Result (heatmap included) is a detached copy.
+// finalize step as the batch solves. Later batches keep accumulating
+// into the solver, never into a returned result.
+//
+// A Snapshot at the capture count of the last successful one returns
+// that same *RobustResult without solving again (the end-of-mission
+// result right after the last live estimate costs nothing). A result may
+// therefore be returned more than once and is shared: callers must treat
+// it, its Result, candidates and heatmap as read-only. Errors are never
+// memoized, so a cancelled or failed Snapshot is retried in full.
 func (s *StreamSolver) Snapshot(ctx context.Context) (*RobustResult, error) {
 	ctx, span := obs.StartSpan(ctx, "loc.stream.snapshot")
 	defer span.End()
 	s.mu.Lock()
-	total := s.total
+	total, restores := s.total, s.restores
+	if s.memo != nil && s.memoTotal == total {
+		res := s.memo
+		s.mu.Unlock()
+		span.Int("total", int64(total)).Int("kept", int64(res.Kept))
+		return res, nil
+	}
 	kept := append([]Measurement(nil), s.kept...)
 	traj := geom.Trajectory{Points: append([]geom.Point(nil), s.traj...)}
 	hm := s.heatmap()
 	s.mu.Unlock()
 	span.Int("total", int64(total)).Int("kept", int64(len(kept)))
-	return s.finalize(ctx, hm, kept, total, traj)
+	res, err := s.finalize(ctx, hm, kept, total, traj)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.restores == restores && s.total == total {
+		s.memo, s.memoTotal = res, total
+	}
+	s.mu.Unlock()
+	return res, nil
 }
 
 // finalize is the shared tail of every 2D solve, batch and streaming:

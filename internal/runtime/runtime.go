@@ -1028,9 +1028,12 @@ func (e *Engine) Run(ctx context.Context) (MissionResult, error) {
 // finalizes the streaming SAR solve when the mission flew one. The grid
 // already integrates every committed capture, so the end-of-mission solve
 // is argmax + refinement — the per-measurement projection cost was paid
-// sortie by sortie. A localization abandoned by ctx, or one the aperture
-// cannot support, leaves LocOK false; the committed sortie rows are
-// assembled regardless, because they are bookkeeping, not compute.
+// sortie by sortie. When the final sortie's live estimate already
+// snapshotted the same captures, the solver returns that memoized solve
+// and no refinement runs here at all. A localization abandoned by ctx, or
+// one the aperture cannot support, leaves LocOK false; the committed
+// sortie rows are assembled regardless, because they are bookkeeping, not
+// compute.
 func (e *Engine) ResultCtx(ctx context.Context) MissionResult {
 	res := MissionResult{Sorties: append([]SortieResult(nil), e.results...)}
 	if e.solver != nil && len(e.cfg.Tags) > 0 {

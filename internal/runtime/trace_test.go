@@ -77,26 +77,35 @@ func assertTraceInvariants(t *testing.T, tree *obs.Tree) {
 	}
 
 	// No SAR stripe outlives its enclosing grid pass: every loc.stripe
-	// has a solve ancestor (loc.solve / loc.solve3d) or a streaming
-	// integration ancestor (loc.stream.add) and ends no later than it.
+	// has a solve ancestor (loc.solve / loc.solve3d), a streaming
+	// integration ancestor (loc.stream.add) or a snapshot ancestor
+	// (loc.stream.snapshot, whose refinement stripes its fine windows)
+	// and ends no later than it.
 	stripes := tree.Find("loc.stripe")
 	if len(stripes) == 0 {
 		t.Fatal("trace has no loc.stripe spans")
 	}
+	snapshotStripes := 0
 	for _, n := range stripes {
 		var solve *obs.Node
-		for _, name := range []string{"loc.solve", "loc.solve3d", "loc.stream.add"} {
+		for _, name := range []string{"loc.solve", "loc.solve3d", "loc.stream.add", "loc.stream.snapshot"} {
 			if solve = tree.Ancestor(n, name); solve != nil {
 				break
 			}
 		}
 		if solve == nil {
-			t.Errorf("loc.stripe span %d has no solve or stream ancestor", n.ID)
+			t.Errorf("loc.stripe span %d has no solve, stream or snapshot ancestor", n.ID)
 			continue
+		}
+		if solve.Name == "loc.stream.snapshot" {
+			snapshotStripes++
 		}
 		if n.EndNs() > solve.EndNs() {
 			t.Errorf("loc.stripe span %d ends %dns after its solve", n.ID, n.EndNs()-solve.EndNs())
 		}
+	}
+	if snapshotStripes == 0 {
+		t.Error("no loc.stripe sits under a loc.stream.snapshot; the refinement was not striped")
 	}
 	// The streaming accumulator leaves its own fingerprints: every sortie
 	// commit integrates under loc.stream.add, and the end-of-mission solve
