@@ -311,7 +311,7 @@ func syntheticSAR() ([]loc.Measurement, geom.Trajectory) {
 	tg := d.AddTag(epc.NewEPC96(7, 7, 7, 7, 7, 7), geom.P(1.5, 2.0, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(99).Split("f"))
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -21,8 +21,7 @@
 // bytes with accessor methods — the read path allocates nothing per
 // record. Segments are one-per-committed-sortie (empty sorties write
 // nothing), sealed with their own CRC so a segment can be shipped,
-// appended, or validated without touching its neighbors — exactly what
-// the federation tier's incremental segment replication does. The
+// appended, or validated without touching its neighbors. The
 // header carries the solve parameters the live engine derived from its
 // mission config (carrier, search region, seed, config fingerprint),
 // which is what lets Replay re-solve the mission from the log alone.

@@ -292,7 +292,7 @@ func faultLocErrors(cfg FaultMatrixConfig, c fault.Class, seed uint64) (naiveErr
 			if !d.RelayPlanStable() {
 				d.ReprogramGains()
 			}
-		}, nil)
+		})
 		if err != nil {
 			naiveFails++
 			robustFails++

@@ -57,7 +57,7 @@ func figure6Trial(name string, scene *world.Scene, seed uint64) (Figure6Result, 
 	plan := geom.Line(geom.P(0, 0, 0.4), geom.P(3, 0, 0.4), 40)
 	// FlyCtx fails only when its ctx ends, which a background ctx never does.
 	flight, _ := drone.Create2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(seed).Split("flight"))
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		return res, fmt.Errorf("figure6 %s: %w", name, err)
 	}

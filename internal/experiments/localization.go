@@ -60,7 +60,7 @@ func locTrial(p locTrialParams, seed uint64) (locTrialResult, error) {
 	src := rng.New(seed).Split("flight")
 	// FlyCtx fails only when its ctx ends, which a background ctx never does.
 	flight, _ := p.platform.FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), src)
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		return out, err
 	}

@@ -250,11 +250,6 @@ func (c *Client) PutReplica(ctx context.Context, id string, sortie int, data []b
 	return c.putBlob(ctx, fmt.Sprintf("/v1/replicas/%s?sortie=%d", id, sortie), data)
 }
 
-// GetReplica fetches a held replica back.
-func (c *Client) GetReplica(ctx context.Context, id string) (sortie int, data []byte, err error) {
-	return c.getBlob(ctx, "/v1/replicas/"+id)
-}
-
 // DropReplica discards a held replica (best-effort cleanup).
 func (c *Client) DropReplica(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/replicas/"+id, nil, "", nil)

@@ -66,13 +66,13 @@ func TestClientBoundsResponseBodies(t *testing.T) {
 	}
 }
 
-// TestClientRejectsShortBlob: a blob body that ends before its declared
-// Content-Length, or declares more than maxNodeResponse, is an error —
-// never a truncated checkpoint handed on to a replica store.
+// TestClientRejectsShortBlob: a checkpoint body that ends before its
+// declared Content-Length, or declares more than maxNodeResponse, is an
+// error — never a truncated checkpoint handed on to a replica store.
 func TestClientRejectsShortBlob(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(fleet.SortieHeader, "1")
-		if strings.HasSuffix(r.URL.Path, "/checkpoint") {
+		if r.URL.Path == "/v1/missions/m-short/checkpoint" {
 			// Declare 1000 bytes, send 10, and end the response.
 			w.Header().Set("Content-Length", "1000")
 			w.Write(make([]byte, 10))
@@ -89,10 +89,10 @@ func TestClientRejectsShortBlob(t *testing.T) {
 		BackoffMax:     time.Millisecond,
 	}, &jitterSource{src: rng.New(1)})
 
-	if _, data, err := c.Checkpoint(context.Background(), "m-1"); err == nil {
+	if _, data, err := c.Checkpoint(context.Background(), "m-short"); err == nil {
 		t.Fatalf("short checkpoint body read without error (%d bytes)", len(data))
 	}
-	if _, data, err := c.GetReplica(context.Background(), "m-1"); err == nil {
-		t.Fatalf("oversize replica body read without error (%d bytes)", len(data))
+	if _, data, err := c.Checkpoint(context.Background(), "m-big"); err == nil {
+		t.Fatalf("oversize checkpoint body read without error (%d bytes)", len(data))
 	}
 }

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"sort"
@@ -359,6 +358,12 @@ func (c *Coordinator) pollWait() time.Duration {
 // terminal state and whether the exchange made progress.
 func (c *Coordinator) step(m *fedMission) (terminal, progressed bool) {
 	c.mu.Lock()
+	if c.det.State(m.succ) == StateDead {
+		// A dead successor holds nothing anyone can resume from: pick a
+		// live one and copy it the primary's current boundary.
+		m.succ = c.successorLocked(m.region, m.node)
+		m.lastSortie = 0
+	}
 	node, remoteID, succ := m.node, m.remoteID, m.succ
 	lastSortie := m.lastSortie
 	c.mu.Unlock()
@@ -428,12 +433,16 @@ func (c *Coordinator) finish(m *fedMission, mr fleet.MissionResponse) bool {
 	return true
 }
 
-// failover re-leases a dead primary's mission: resume on a new node
-// from the successor's replicated checkpoint, or re-run from scratch
-// under the same seed when death beat the first replication. Either
-// way the runtime's determinism makes the final localization
-// bit-identical to an unkilled run. Errors leave the mission pointed at
-// the dead node; the next watch step retries until a placement lands.
+// failover re-leases a dead primary's mission. The successor already
+// holds the last replicated checkpoint, so the mission resumes there:
+// the submit names the replica by the mission's ID and the successor
+// restores it from its own store. When the successor is dead too, holds
+// no replica (death beat the first replication) or refuses it (a
+// corrupt or config-drifted blob), the mission re-runs from scratch
+// under the same seed on another node. Either way the runtime's
+// determinism makes the final localization bit-identical to an unkilled
+// run. A busy or unreachable successor, or a failed placement, leaves
+// the mission pointed at the dead node; the next watch step retries.
 func (c *Coordinator) failover(m *fedMission) {
 	c.mu.Lock()
 	dead, succ := m.node, m.succ
@@ -443,22 +452,31 @@ func (c *Coordinator) failover(m *fedMission) {
 	span.Str("mission", m.id).Str("dead", dead).Str("replica", succ)
 	defer span.End()
 
-	req := m.req
+	var node, remoteID string
+	var err error
 	resumed := false
-	if _, rep, err := c.clients[succ].GetReplica(c.ctx, m.id); err == nil && len(rep) > 0 {
-		req.ResumeB64 = base64.StdEncoding.EncodeToString(rep)
-		resumed = true
-	}
-	node, remoteID, _, err := c.place(c.ctx, req, dead)
-	if err != nil && resumed {
-		// A node rejected the replica (400: corrupt or config-drifted
-		// blob). Fall back to a fresh same-seed run — still bit-identical.
+	if succ != dead && c.det.State(succ) != StateDead {
+		req := m.req
+		req.ResumeReplica = m.id
+		var resp fleet.SubmitResponse
+		resp, err = c.clients[succ].Submit(c.ctx, req)
 		var st ErrStatus
-		if errors.As(err, &st) && st.Code < 500 {
-			req.ResumeB64 = ""
-			resumed = false
-			node, remoteID, _, err = c.place(c.ctx, req, dead)
+		switch {
+		case err == nil:
+			node, remoteID, resumed = succ, resp.ID, true
+		case !errors.As(err, &st) || st.Code >= 500:
+			// Busy or unreachable: the replica is still held there.
+			span.Bool("failed", true)
+			return
+		default:
+			// The successor refused the replica. Discard it, so it neither
+			// leaks nor, as a later sortie, rejects the re-run's boundaries
+			// (best effort: a failed drop costs that node only budget).
+			_ = c.clients[succ].DropReplica(c.ctx, m.id)
 		}
+	}
+	if !resumed {
+		node, remoteID, _, err = c.place(c.ctx, m.req, dead)
 	}
 	span.Str("node", node).Bool("resumed", resumed).Bool("failed", err != nil)
 	if err != nil {
@@ -478,5 +496,8 @@ func (c *Coordinator) failover(m *fedMission) {
 	m.remoteID = remoteID
 	m.failovers++
 	m.succ = c.successorLocked(m.region, node)
+	if !resumed {
+		m.lastSortie = 0 // the re-run commits its boundaries afresh
+	}
 	c.mu.Unlock()
 }

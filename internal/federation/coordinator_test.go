@@ -225,6 +225,13 @@ func TestFailoverNodeKill(t *testing.T) {
 	if snap.Failovers != 1 || snap.Resumed != 1 {
 		t.Fatalf("failover metrics: %+v", snap)
 	}
+	// The resume consumed the successor's replica, and completion dropped
+	// the one the new successor held: no node keeps a copy.
+	for _, n := range nodes {
+		if held := n.sched.Metrics().Snapshot().ReplicasHeld; held != 0 {
+			t.Fatalf("node %s still holds %d replicas after completion", n.ts.URL, held)
+		}
+	}
 
 	// The unkilled twin: same request flown in-process under the same
 	// node config. Bit-identical means identical float64s, not "close".

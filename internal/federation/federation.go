@@ -11,17 +11,20 @@
 //   - Replication: as a mission flies, the coordinator long-polls the
 //     owner for its next committed sortie (GET /v1/missions/{id}?after=N),
 //     then copies that boundary's checkpoint (published live by the fleet
-//     scheduler's CheckpointSink) and capture-log tail to the successor's
-//     replica stores as raw bytes: one exchange per commit. The replica
-//     is always a boundary the runtime codec can restore bit-exactly.
+//     scheduler's CheckpointSink; a SAR mission's embeds its whole
+//     capture log) to the successor's replica store as raw bytes: one
+//     exchange per commit. The replica is always a boundary the runtime
+//     codec can restore bit-exactly.
 //
 //   - Failure detection + failover: a heartbeat prober (detector.go)
 //     tracks every node through alive → suspect → dead, piggybacking
 //     each node's queue depth on the heartbeat (the "gossip" that feeds
 //     load-aware shedding). When a node is declared dead, the
 //     coordinator re-leases its in-flight missions on the successor from
-//     the last replicated checkpoint — or, when death beat the first
-//     replication, re-runs them from scratch under the same seed. Both
+//     the last replicated checkpoint: the resume submit names the
+//     replica the successor already holds, so no checkpoint crosses the
+//     wire again. When death beat the first replication, it re-runs them
+//     from scratch under the same seed. Both
 //     paths end in a localization solve bit-identical to an unkilled
 //     run; internal/runtime/chaos's node-kill campaign holds that
 //     property across seeds.

@@ -14,7 +14,8 @@ import (
 // client can talk to one node or the whole federation with the same
 // code.
 //
-//	POST /v1/missions       submit (202; 503 + read-only while degraded)
+//	POST /v1/missions       submit (202; 503 + read-only while degraded;
+//	                        400 for a body naming resume_replica)
 //	GET  /v1/missions/{id}  poll a federated mission
 //	GET  /v1/missions       list federated missions
 //	GET  /v1/nodes          per-node health + load (the gossip view)
@@ -30,6 +31,11 @@ func NewHandler(c *Coordinator) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&in); err != nil {
 			writeJSON(w, http.StatusBadRequest, fleet.ErrorResponse{Error: "bad request body: " + err.Error()})
+			return
+		}
+		if in.ResumeReplica != "" {
+			// Only failover names a replica; a client holds none to name.
+			writeJSON(w, http.StatusBadRequest, fleet.ErrorResponse{Error: "resume_replica is set only by the coordinator's failover"})
 			return
 		}
 		id, err := c.Submit(r.Context(), in)

@@ -87,8 +87,9 @@ func TestCoordinatorHTTP(t *testing.T) {
 	r.Body.Close()
 
 	// A bad submit is the client's error, never a bad gateway: a body
-	// the coordinator cannot decode is its own 400, and one every node
-	// refuses answers with the node's code and message.
+	// the coordinator cannot decode, or one naming a replica (only
+	// failover may), is its own 400, and one every node refuses answers
+	// with the node's code and message.
 	const tag = `"tags":[{"id":1,"x":12,"y":2,"z":1}]`
 	for _, tc := range []struct {
 		name, body, msg string
@@ -97,6 +98,7 @@ func TestCoordinatorHTTP(t *testing.T) {
 		{"no tags", `{"region":"dock","tags":[]}`, "at least one tag"},
 		{"negative sar_points", `{"region":"dock",` + tag + `,"sar_points":-3}`, "sar_points"},
 		{"unknown field", `{"region":"dock",` + tag + `,"bogus":1}`, "unknown field"},
+		{"resume_replica", `{"region":"dock",` + tag + `,"seed":7,"resume_replica":"f-000001"}`, "resume_replica"},
 		{"body over MaxBody", `{"region":"` + strings.Repeat("x", fleet.MaxBody) + `",` + tag + `}`, "too large"},
 	} {
 		r, err := ts.Client().Post(ts.URL+"/v1/missions", "application/json", strings.NewReader(tc.body))

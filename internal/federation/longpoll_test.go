@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,6 +35,9 @@ type scriptedNode struct {
 	// between the long-poll's answer and the checkpoint the coordinator
 	// fetches for it.
 	onCheckpoint func()
+	// refuseResume makes a submit naming a replica answer 400, as a node
+	// whose replica does not restore would.
+	refuseResume bool
 
 	// puts receives the sortie of every replica PUT this node accepts,
 	// drops every replica DELETE. Both are buffered past any one test's
@@ -52,9 +56,16 @@ func newScriptedNode(t *testing.T, sorties int) *scriptedNode {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/missions", func(w http.ResponseWriter, r *http.Request) {
+		var in fleet.SubmitRequest
+		json.NewDecoder(r.Body).Decode(&in)
 		n.mu.Lock()
-		n.submitted = true
+		refuse := in.ResumeReplica != "" && n.refuseResume
+		n.submitted = n.submitted || !refuse
 		n.mu.Unlock()
+		if refuse {
+			writeJSON(w, http.StatusBadRequest, fleet.ErrorResponse{Error: "resume checkpoint rejected"})
+			return
+		}
 		writeJSON(w, http.StatusAccepted, fleet.SubmitResponse{ID: "m-1", Status: fleet.StatusQueued})
 	})
 	mux.HandleFunc("GET /v1/missions/m-1", func(w http.ResponseWriter, r *http.Request) {
@@ -302,5 +313,130 @@ func TestFederatedMissionReplicatesBeforeCompletion(t *testing.T) {
 	if snap.CaptureReplicated != snap.Replicated || snap.CaptureFullSyncs != snap.Replicated {
 		t.Fatalf("capture copies %d with %d full syncs over %d replications, want all three equal",
 			snap.CaptureReplicated, snap.CaptureFullSyncs, snap.Replicated)
+	}
+}
+
+// scriptedFleet starts a coordinator over three scripted nodes and
+// submits one 4-sortie mission, returning the mission ID and its
+// primary, successor and third node.
+func scriptedFleet(t *testing.T) (c *Coordinator, id string, primary, succ, third *scriptedNode) {
+	nodes := []*scriptedNode{newScriptedNode(t, 4), newScriptedNode(t, 4), newScriptedNode(t, 4)}
+	byURL := make(map[string]*scriptedNode, len(nodes))
+	urls := make([]string, len(nodes))
+	for i, n := range nodes {
+		byURL[n.ts.URL], urls[i] = n, n.ts.URL
+	}
+	c, err := New(fastFedConfig(urls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	id, err = c.Submit(context.Background(), fleet.SubmitRequest{Region: "dock", Tags: fedTags(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	primary, succ = byURL[c.missions[id].node], byURL[c.missions[id].succ]
+	c.mu.Unlock()
+	for _, n := range nodes {
+		if n != primary && n != succ {
+			third = n
+		}
+	}
+	return c, id, primary, succ, third
+}
+
+// kill stops the node answering, and waits until the coordinator's
+// detector has declared it dead.
+func (n *scriptedNode) kill(t *testing.T, c *Coordinator) {
+	n.ts.CloseClientConnections()
+	n.ts.Close()
+	waitFor(t, 10*time.Second, "the killed node declared dead", func() bool {
+		return c.det.State(n.ts.URL) == StateDead
+	})
+}
+
+// TestDeadSuccessorReplaced: when a mission's successor dies, the watch
+// picks a live one, and the boundaries that commit from then on are
+// copied to it; completion drops the replica there.
+func TestDeadSuccessorReplaced(t *testing.T) {
+	c, id, primary, succ, third := scriptedFleet(t)
+
+	primary.commit(1)
+	if got := recvInt(t, succ.puts, "the sortie-1 replica"); got != 1 {
+		t.Fatalf("replicated sortie %d after commit 1", got)
+	}
+	succ.kill(t, c)
+
+	primary.commit(2)
+	// The new successor may first be sent the boundary the dead one held.
+	for last := 0; last != 2; {
+		got := recvInt(t, third.puts, "the sortie-2 replica on the new successor")
+		if got <= last || got > 2 {
+			t.Fatalf("new successor got sortie %d after %d", got, last)
+		}
+		last = got
+	}
+	primary.commit(4)
+	primary.finish()
+	select {
+	case <-c.Done(id):
+	case <-time.After(10 * time.Second):
+		t.Fatal("mission never completed")
+	}
+	select {
+	case <-third.drops:
+	case <-time.After(10 * time.Second):
+		t.Fatal("completion did not drop the new successor's replica")
+	}
+}
+
+// TestFailoverRefusedReplicaReruns: when the primary dies and its
+// successor refuses the replica, the coordinator drops that replica and
+// re-runs the mission from scratch, and the re-run's first boundary is
+// replicated.
+func TestFailoverRefusedReplicaReruns(t *testing.T) {
+	c, id, primary, succ, third := scriptedFleet(t)
+
+	for k := 1; k <= 2; k++ {
+		primary.commit(k)
+		if got := recvInt(t, succ.puts, fmt.Sprintf("the sortie-%d replica", k)); got != k {
+			t.Fatalf("replicated sortie %d after commit %d", got, k)
+		}
+	}
+	succ.mu.Lock()
+	succ.refuseResume = true
+	succ.mu.Unlock()
+	primary.kill(t, c)
+
+	select {
+	case <-succ.drops:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the refused replica was never dropped")
+	}
+	waitFor(t, 10*time.Second, "the re-run placement", func() bool {
+		v, _ := c.Get(id)
+		return v.Failovers == 1
+	})
+	if snap := c.Metrics().Snapshot(); snap.Reran != 1 || snap.Resumed != 0 {
+		t.Fatalf("failover reran %d and resumed %d, want one re-run", snap.Reran, snap.Resumed)
+	}
+	c.mu.Lock()
+	m := c.missions[id]
+	node, next := m.node, m.succ
+	c.mu.Unlock()
+	var rerun, holder *scriptedNode
+	for _, n := range []*scriptedNode{primary, succ, third} {
+		if n.ts.URL == node {
+			rerun = n
+		}
+		if n.ts.URL == next {
+			holder = n
+		}
+	}
+	rerun.commit(1)
+	if got := recvInt(t, holder.puts, "the re-run's sortie-1 replica"); got != 1 {
+		t.Fatalf("replicated sortie %d after the re-run's first commit", got)
 	}
 }

@@ -60,22 +60,13 @@ func MissionConfig(c Config, req Request, seq uint64) runtime.Config {
 	cfg.SARPointsPerSortie = req.SARPoints
 	cfg.Schedule.Events = nil
 
-	// Service missions jitter their retry backoff by default: with a
+	// Service missions jitter their retry backoff: with a
 	// worker per shard retrying in lockstep scale, synchronized backoff
 	// windows would re-collide (the audit in reader/retry.go); the
 	// draws come from each deployment's own stream, so shards never
 	// share RNG state.
-	pol := reader.DefaultRetryPolicy()
-	pol.JitterSlots = 2
-	if c.Retry.Set {
-		pol = reader.RetryPolicy{
-			MaxRetries:      c.Retry.MaxRetries,
-			BackoffSlots:    c.Retry.BackoffSlots,
-			MaxBackoffSlots: c.Retry.MaxBackoff,
-			JitterSlots:     c.Retry.JitterSlots,
-		}
-	}
-	cfg.Retry = pol
+	cfg.Retry = reader.DefaultRetryPolicy()
+	cfg.Retry.JitterSlots = 2
 
 	cfg.Tags = append(cfg.Tags[:0], req.Tags...)
 	return cfg
@@ -101,7 +92,7 @@ func (s *Scheduler) missionConfig(batch []*mission) (runtime.Config, []tagSegmen
 // member carries one (a looser member keeps the sortie alive for the
 // others).
 func (s *Scheduler) batchBound(batch []*mission, now time.Time) time.Time {
-	bound := now.Add(s.cfg.MaxMissionTime)
+	bound := now.Add(maxMissionTime)
 	latest := time.Time{}
 	all := true
 	for _, m := range batch {
@@ -133,7 +124,7 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 	bs := &batchState{cancel: cancel, live: len(batch)}
 
 	head := batch[0]
-	rec := obs.NewRecorder(s.cfg.TraceCap)
+	rec := obs.NewRecorder(obs.DefaultCap)
 	bctx, bspan := obs.StartSpan(obs.WithRecorder(ctx, rec), "fleet.batch")
 	bspan.Str("region", head.req.Region).Int("shard", int64(shard)).Int("size", int64(len(batch)))
 
@@ -179,7 +170,7 @@ func (s *Scheduler) runBatch(shard int, batch []*mission) {
 		// Publish each committed boundary on the batch records as the
 		// engine flies: the checkpoint (GET /v1/missions/{id}/checkpoint,
 		// the replication source) and, for SAR missions, the capture log
-		// (download, replay solves, segment replication), together, so a
+		// (download, replay solves), together, so a
 		// long-poll woken by the commit finds both at the same sortie.
 		eng.CheckpointSink = func(done int, ckpt []byte) {
 			last = ckpt

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,16 +183,51 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestReplicaStore exercises put/get/drop, monotonic sortie counts, and
-// both budget caps.
-func TestReplicaStore(t *testing.T) {
-	cfg := fastConfig(1)
-	cfg.MaxReplicas = 2
-	cfg.MaxReplicaBytes = 64
-	s, err := New(cfg)
+// TestResumeReplicaAdmitsOnce: concurrent submits naming one held
+// replica admit exactly one mission; the rest are refused, because the
+// first admission consumed the replica.
+func TestResumeReplicaAdmitsOnce(t *testing.T) {
+	s, err := New(multiSortieConfig(1)) // not started: admitted missions stay queued
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := Request{Region: "dock", Tags: testTags(1), Seed: 5}
+	eng, err := runtime.New(MissionConfig(s.Config(), req, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutReplica("f-000001", 1, eng.SnapshotCtx(context.Background())); err != nil {
+		t.Fatal(err)
+	}
+	req.ResumeReplica = "f-000001"
+	var wg sync.WaitGroup
+	var admitted atomic.Int32
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(req); err == nil {
+				admitted.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := admitted.Load(); got != 1 {
+		t.Fatalf("%d submits resumed one replica, want 1", got)
+	}
+	if _, ok := s.replicas.lookup("f-000001"); ok {
+		t.Fatal("the admitted resume left its replica held")
+	}
+}
+
+// TestReplicaStore exercises put/lookup/drop, monotonic sortie counts,
+// and both budget caps, on a 2-replica, 64-byte store.
+func TestReplicaStore(t *testing.T) {
+	s, err := New(fastConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.replicas = newReplicaStore(2, 64)
 	blob := []byte("0123456789")
 	if err := s.PutReplica("m-1", 1, blob); err != nil {
 		t.Fatal(err)
@@ -201,9 +238,8 @@ func TestReplicaStore(t *testing.T) {
 	if err := s.PutReplica("m-1", 1, blob); err == nil {
 		t.Fatal("stale replica accepted")
 	}
-	sortie, data, ok := s.GetReplica("m-1")
-	if !ok || sortie != 2 || !bytes.Equal(data, blob) {
-		t.Fatalf("get returned (%d, %q, %v)", sortie, data, ok)
+	if rep, ok := s.replicas.lookup("m-1"); !ok || rep.sortie != 2 || !bytes.Equal(rep.data, blob) {
+		t.Fatalf("lookup returned (%d, %q, %v)", rep.sortie, rep.data, ok)
 	}
 	if err := s.PutReplica("m-2", 1, blob); err != nil {
 		t.Fatal(err)

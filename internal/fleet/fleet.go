@@ -19,35 +19,24 @@ type Config struct {
 	QueueCap int
 	// MaxBatch caps how many compatible requests one sortie serves.
 	MaxBatch int
-	// MaxTagsPerRequest bounds a single request's tag list.
-	MaxTagsPerRequest int
 	// Sorties and TicksPerSortie shape each service mission; the service
 	// flies short missions so per-request latency stays bounded.
 	Sorties        int
 	TicksPerSortie int
-	// Retry is the per-read retry policy every service mission uses.
-	// Its jitter draws come from each shard's own deterministic stream,
-	// which is what keeps the worker pool race-free (see
-	// reader.RetryPolicy.JitterSlots).
-	Retry RetryOverride
-	// MaxMissionTime is a hard per-batch wall-clock bound applied even
-	// when no member carries a deadline. Zero defaults to 30s.
-	MaxMissionTime time.Duration
-	// TraceCap bounds the per-batch flight-recorder ring (spans kept per
-	// sortie trace). Zero uses obs.DefaultCap.
-	TraceCap int
-	// MaxReplicas / MaxReplicaBytes bound the node's replica store (the
-	// checkpoints it holds on behalf of federation peers). Zeros default
-	// to 256 replicas / 16 MiB.
-	MaxReplicas     int
-	MaxReplicaBytes int64
 }
 
-// RetryOverride optionally replaces the mission default retry policy.
-type RetryOverride struct {
-	Set                                               bool
-	MaxRetries, BackoffSlots, MaxBackoff, JitterSlots int
-}
+// Fixed service bounds: every node enforces the same ones.
+const (
+	// maxTagsPerRequest bounds a single request's tag list.
+	maxTagsPerRequest = 8
+	// maxMissionTime is a hard per-batch wall-clock bound applied even
+	// when no member carries a deadline.
+	maxMissionTime = 30 * time.Second
+	// maxReplicas and maxReplicaBytes bound the node's replica store
+	// (the checkpoints it holds on behalf of federation peers).
+	maxReplicas     = 256
+	maxReplicaBytes = 16 << 20
+)
 
 func (c *Config) defaults() error {
 	if c.Shards <= 0 {
@@ -59,23 +48,11 @@ func (c *Config) defaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.MaxTagsPerRequest <= 0 {
-		c.MaxTagsPerRequest = 8
-	}
 	if c.Sorties <= 0 {
 		c.Sorties = 1
 	}
 	if c.TicksPerSortie <= 0 {
 		c.TicksPerSortie = 12
-	}
-	if c.MaxMissionTime <= 0 {
-		c.MaxMissionTime = 30 * time.Second
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 256
-	}
-	if c.MaxReplicaBytes <= 0 {
-		c.MaxReplicaBytes = 16 << 20
 	}
 	return nil
 }
@@ -116,9 +93,9 @@ type Scheduler struct {
 	drain [][]byte
 
 	// replicas holds checkpoints this node keeps on behalf of
-	// federation peers (it is never read by the local scheduler; a
-	// coordinator fetches a replica back out to resume the mission on
-	// this node after the primary dies).
+	// federation peers. The local scheduler reads one only when a resume
+	// submit names it (Request.ResumeReplica): the coordinator re-leasing
+	// a dead primary's mission here.
 	replicas *replicaStore
 
 	wg sync.WaitGroup
@@ -137,7 +114,7 @@ func New(cfg Config) (*Scheduler, error) {
 		runStop:  cancel,
 		records:  make(map[string]*mission),
 		drain:    make([][]byte, cfg.Shards),
-		replicas: newReplicaStore(cfg.MaxReplicas, cfg.MaxReplicaBytes),
+		replicas: newReplicaStore(maxReplicas, maxReplicaBytes),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
@@ -178,9 +155,19 @@ func (s *Scheduler) Start() {
 
 // Submit admits a request. It returns the mission ID immediately; the
 // caller polls Get (or waits on Done) for the outcome. A full queue
-// fails fast with ErrBacklog; a draining scheduler with ErrDraining.
+// fails fast with ErrBacklog; a draining scheduler with ErrDraining. A
+// request naming a held replica (ResumeReplica) resumes from it, and
+// the store drops the replica once the mission is admitted; a refused
+// submit leaves it held.
 func (s *Scheduler) Submit(req Request) (string, error) {
-	if err := req.validate(s.cfg.MaxTagsPerRequest); err != nil {
+	if req.ResumeReplica != "" {
+		rep, ok := s.replicas.lookup(req.ResumeReplica)
+		if !ok {
+			return "", fmt.Errorf("fleet: no replica held under resume_replica %q", req.ResumeReplica)
+		}
+		req.Resume = rep.data
+	}
+	if err := req.validate(maxTagsPerRequest); err != nil {
 		return "", err
 	}
 	if len(req.Resume) > 0 {
@@ -203,6 +190,11 @@ func (s *Scheduler) Submit(req Request) (string, error) {
 	if s.queue.Len() >= s.cfg.QueueCap {
 		s.m.rejected.Add(1)
 		return "", ErrBacklog{Depth: s.queue.Len(), RetryAfter: s.retryAfterLocked()}
+	}
+	// The mission now carries the replica's bytes. Dropping it here, under
+	// the admission lock, also admits at most one resume per replica.
+	if req.ResumeReplica != "" && !s.DropReplica(req.ResumeReplica) {
+		return "", fmt.Errorf("fleet: replica %q was resumed concurrently", req.ResumeReplica)
 	}
 	s.seq++
 	m := &mission{
@@ -345,33 +337,30 @@ func (s *Scheduler) Capture(id string) (data []byte, sortie int, ok bool) {
 
 // PutReplica stores a checkpoint this node holds on behalf of a
 // federation peer. It never inspects the bytes — a replica is opaque
-// until a coordinator fetches it back to resume the mission here. The
-// store keeps data itself; the caller must not modify it afterwards.
+// until a resume submit names it (Request.ResumeReplica). The store
+// keeps data itself; the caller must not modify it afterwards.
 func (s *Scheduler) PutReplica(id string, sortie int, data []byte) error {
 	err := s.replicas.put(id, sortie, data)
 	if err == nil {
 		s.m.replicaPuts.Add(1)
-		held, bytes := s.replicas.stats()
-		s.m.replicasHeld.Store(held)
-		s.m.replicaBytes.Store(bytes)
+		s.storeReplicaGauges()
 	}
 	return err
-}
-
-// GetReplica returns a held replica's sortie count and bytes.
-func (s *Scheduler) GetReplica(id string) (sortie int, data []byte, ok bool) {
-	return s.replicas.get(id)
 }
 
 // DropReplica discards a held replica, reporting whether it existed.
 func (s *Scheduler) DropReplica(id string) bool {
 	ok := s.replicas.drop(id)
 	if ok {
-		held, bytes := s.replicas.stats()
-		s.m.replicasHeld.Store(held)
-		s.m.replicaBytes.Store(bytes)
+		s.storeReplicaGauges()
 	}
 	return ok
+}
+
+func (s *Scheduler) storeReplicaGauges() {
+	held, bytes := s.replicas.stats()
+	s.m.replicasHeld.Store(held)
+	s.m.replicaBytes.Store(bytes)
 }
 
 // Done returns a channel that closes when the mission reaches a

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
+
+	"rfly/internal/runtime"
 )
 
 // Fuzz targets for the request decoders a node exposes to its peers and
@@ -47,7 +50,7 @@ func requireTyped(t *testing.T, rec *httptest.ResponseRecorder) {
 	}
 }
 
-func fuzzScheduler(t *testing.T) *Scheduler {
+func fuzzScheduler(t testing.TB) *Scheduler {
 	s, err := New(Config{Shards: 1, QueueCap: 2, Sorties: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -66,17 +69,34 @@ func FuzzReplicaPut(f *testing.F) {
 		}
 		rec := serveOnce(s, http.MethodPut, "/v1/replicas/m-1", query, body)
 		requireTyped(t, rec)
-		if sortie, _, ok := s.GetReplica("m-1"); !ok || sortie < 2 {
-			t.Fatalf("held replica at sortie %d (ok %v) after a PUT that answered %d", sortie, ok, rec.Code)
+		if rep, ok := s.replicas.lookup("m-1"); !ok || rep.sortie < 2 {
+			t.Fatalf("held replica at sortie %d (ok %v) after a PUT that answered %d", rep.sortie, ok, rec.Code)
 		}
 	})
 }
 
 // FuzzSubmitBody: POST /v1/missions with an arbitrary JSON body, against
-// a stopped scheduler whose queue holds two missions.
+// a stopped scheduler with room for two missions. Its replica store
+// holds two replicas a resume_replica body can name: f-000001 is a
+// checkpoint of the dock mission with seed 7 and tag 1 at (12, 2, 1),
+// and f-000002 is the same checkpoint cut in half.
 func FuzzSubmitBody(f *testing.F) {
 	f.Add([]byte(`{"region":"dock","tags":[{"id":1,"x":12,"y":2,"z":1}]}`))
+	eng, err := runtime.New(MissionConfig(fuzzScheduler(f).Config(), Request{
+		Region: "dock", Seed: 7, Tags: []runtime.TagSpec{{ID: 1, X: 12, Y: 2, Z: 1}},
+	}, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpt := eng.SnapshotCtx(context.Background())
 	f.Fuzz(func(t *testing.T, body []byte) {
-		requireTyped(t, serveOnce(fuzzScheduler(t), http.MethodPost, "/v1/missions", "", body))
+		s := fuzzScheduler(t)
+		if err := s.PutReplica("f-000001", 1, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutReplica("f-000002", 1, ckpt[:len(ckpt)/2]); err != nil {
+			t.Fatal(err)
+		}
+		requireTyped(t, serveOnce(s, http.MethodPost, "/v1/missions", "", body))
 	})
 }

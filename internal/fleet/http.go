@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,15 +38,16 @@ import (
 //	                                    engine, no sim)
 //	DELETE /v1/missions/{id}            cancel
 //	PUT    /v1/replicas/{id}?sortie=N   hold a peer mission's checkpoint
-//	                                    (capture log included)
-//	GET    /v1/replicas/{id}            fetch a held replica
+//	                                    (capture log included); a submit
+//	                                    naming it in resume_replica resumes
+//	                                    the mission here and consumes it
 //	DELETE /v1/replicas/{id}            discard a held replica
 //	GET    /healthz                     liveness + drain state
 //	GET    /metrics                     counter snapshot (queue depth, shard
 //	                                    utilization, batch + latency histograms,
 //	                                    plus the process-wide obs registry)
 //
-// The checkpoint, capture and replica routes are blob routes: the
+// The checkpoint, capture and replica PUT routes are blob routes: the
 // checkpoint or capture-log bytes travel raw, as an
 // application/octet-stream body, never as base64 inside JSON. A blob
 // response carries its sortie count in the X-Rfly-Sortie header; a blob
@@ -83,10 +83,11 @@ type SubmitRequest struct {
 	// federation tier sets it so per-mission checkpoints stay
 	// relocatable (see Request.Exclusive).
 	Exclusive bool `json:"exclusive,omitempty"`
-	// ResumeB64 is a base64 sortie-boundary checkpoint to restore from
-	// (the failover path); it requires an explicit seed and implies
-	// exclusive.
-	ResumeB64 string `json:"resume_b64,omitempty"`
+	// ResumeReplica names a checkpoint this node holds in its replica
+	// store (the federation coordinator's mission ID) to restore from:
+	// the failover path. It requires an explicit seed and implies
+	// exclusive; the node drops the replica once the mission is admitted.
+	ResumeReplica string `json:"resume_replica,omitempty"`
 }
 
 // TagInput places one inventory target in region coordinates.
@@ -187,9 +188,6 @@ func NewHandler(s *Scheduler) http.Handler {
 	mux.HandleFunc("PUT /v1/replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
 		handleReplicaPut(s, w, r)
 	})
-	mux.HandleFunc("GET /v1/replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
-		handleReplicaGet(s, w, r)
-	})
 	mux.HandleFunc("DELETE /v1/replicas/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !s.DropReplica(r.PathValue("id")) {
 			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no replica held for that id"})
@@ -222,20 +220,13 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := Request{
-		Region:    in.Region,
-		ChannelHz: in.ChannelHz,
-		Priority:  in.Priority,
-		Seed:      in.Seed,
-		SARPoints: in.SARPoints,
-		Exclusive: in.Exclusive,
-	}
-	if in.ResumeB64 != "" {
-		blob, err := base64.StdEncoding.DecodeString(in.ResumeB64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad resume_b64: " + err.Error()})
-			return
-		}
-		req.Resume = blob
+		Region:        in.Region,
+		ChannelHz:     in.ChannelHz,
+		Priority:      in.Priority,
+		Seed:          in.Seed,
+		SARPoints:     in.SARPoints,
+		Exclusive:     in.Exclusive,
+		ResumeReplica: in.ResumeReplica,
 	}
 	for _, t := range in.Tags {
 		req.Tags = append(req.Tags, runtime.TagSpec{ID: t.ID, X: t.X, Y: t.Y, Z: t.Z})
@@ -438,15 +429,6 @@ func handleReplay(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		Segments: res.Segments,
 		Records:  res.Records,
 	})
-}
-
-func handleReplicaGet(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	sortie, data, ok := s.GetReplica(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no replica held for that id"})
-		return
-	}
-	writeBlob(w, sortie, data)
 }
 
 // queryInt parses the named query parameter as an int; an absent one is

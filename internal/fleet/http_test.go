@@ -3,14 +3,16 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"rfly/internal/runtime"
 )
 
 func postMission(t *testing.T, ts *httptest.Server, body SubmitRequest) *http.Response {
@@ -280,8 +282,9 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 
 // TestHTTPCheckpointAndReplica drives the federation-facing endpoints
 // end to end over real HTTP: submit exclusive, read the published
-// checkpoint, hold it as a replica (as a successor node would), fetch
-// it back, resubmit it as a resume mission, and drop it.
+// checkpoint, hold it as a replica (as a successor node would), resume
+// it by naming it in a submit, which consumes it, then hold and drop it
+// again.
 func TestHTTPCheckpointAndReplica(t *testing.T) {
 	cfg := fastConfig(1)
 	cfg.Sorties = 2
@@ -324,33 +327,15 @@ func TestHTTPCheckpointAndReplica(t *testing.T) {
 	}
 
 	// Hold it as a replica under the coordinator's mission id.
-	preq, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/replicas/fed-001?sortie=2", bytes.NewReader(ckpt))
-	presp, err := ts.Client().Do(preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Fatalf("replica put status %d", presp.StatusCode)
-	}
-
-	rresp, err := ts.Client().Get(ts.URL + "/v1/replicas/fed-001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := io.ReadAll(rresp.Body)
-	rresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rep, ckpt) || rresp.Header.Get(SortieHeader) != "2" {
-		t.Fatal("replica bytes differ from the published checkpoint")
+	putReplica(t, ts, "fed-001", 2, ckpt)
+	if rep, ok := s.replicas.lookup("fed-001"); !ok || rep.sortie != 2 || !bytes.Equal(rep.data, ckpt) {
+		t.Fatal("held replica differs from the published checkpoint")
 	}
 
 	// The replica resumes as a mission (trivially: all sorties done, the
 	// engine just reports its final state).
 	resp = postMission(t, ts, SubmitRequest{
-		Region: "dock", Tags: tagInputs(4), Seed: 77, ResumeB64: base64.StdEncoding.EncodeToString(rep),
+		Region: "dock", Tags: tagInputs(4), Seed: 77, ResumeReplica: "fed-001",
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resume submit status %d", resp.StatusCode)
@@ -362,23 +347,132 @@ func TestHTTPCheckpointAndReplica(t *testing.T) {
 	if v, _ := s.Get(rsub.ID); v.Status != StatusDone {
 		t.Fatalf("resumed mission finished %s: %s", v.Status, v.Err)
 	}
+	if got := deleteReplica(t, ts, "fed-001"); got != http.StatusNotFound {
+		t.Fatalf("delete after the resume: status %d, want 404 (admission consumes the replica)", got)
+	}
 
-	dreq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/replicas/fed-001", nil)
-	dresp, err := ts.Client().Do(dreq)
+	putReplica(t, ts, "fed-001", 2, ckpt)
+	if got := deleteReplica(t, ts, "fed-001"); got != http.StatusOK {
+		t.Fatalf("replica delete status %d", got)
+	}
+	if got := deleteReplica(t, ts, "fed-001"); got != http.StatusNotFound {
+		t.Fatalf("second delete status %d, want 404", got)
+	}
+}
+
+func putReplica(t *testing.T, ts *httptest.Server, id string, sortie int, data []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/replicas/"+id+"?sortie="+strconv.Itoa(sortie), bytes.NewReader(data))
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("replica delete status %d", dresp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replica put status %d", resp.StatusCode)
 	}
-	dresp2, err := ts.Client().Do(dreq)
-	if err == nil {
-		if dresp2.StatusCode != http.StatusNotFound {
-			t.Fatalf("second delete status %d, want 404", dresp2.StatusCode)
+}
+
+func deleteReplica(t *testing.T, ts *httptest.Server, id string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/replicas/"+id, nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestHTTPResumeReplica: a submit naming resume_replica resumes from the
+// replica this node holds under that ID. An unknown ID is a typed 400
+// that names it; a held replica answers 202, the mission finishes done
+// and the store no longer holds the replica; a full queue answers 429
+// and the replica stays held for the retry.
+func TestHTTPResumeReplica(t *testing.T) {
+	cfg := multiSortieConfig(1)
+	cfg.QueueCap = 1
+	req := Request{Region: "dock", Tags: testTags(4), Seed: 77, Exclusive: true}
+	eng, err := runtime.New(MissionConfig(cfg, req, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt []byte
+	eng.CheckpointSink = func(done int, data []byte) {
+		if done == 1 {
+			ckpt = data
 		}
-		dresp2.Body.Close()
 	}
+	if _, err := eng.Run(context.Background()); err != nil || ckpt == nil {
+		t.Fatalf("no sortie-1 checkpoint (err %v)", err)
+	}
+	resume := SubmitRequest{Region: "dock", Tags: tagInputs(4), Seed: 77, ResumeReplica: "f-000001"}
+
+	t.Run("unknown", func(t *testing.T) {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewHandler(s))
+		defer ts.Close()
+		resp := postMission(t, ts, resume)
+		defer resp.Body.Close()
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"f-000001"`) {
+			t.Fatalf("unknown replica: status %d, error %q; want a 400 naming it", resp.StatusCode, e.Error)
+		}
+	})
+
+	t.Run("held", func(t *testing.T) {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer s.Stop(context.Background())
+		ts := httptest.NewServer(NewHandler(s))
+		defer ts.Close()
+		putReplica(t, ts, "f-000001", 1, ckpt)
+		resp := postMission(t, ts, resume)
+		var sub SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("resume submit status %d, want 202", resp.StatusCode)
+		}
+		if v := waitDone(t, s, sub.ID); v.Status != StatusDone || v.Outcome.Sorties != cfg.Sorties {
+			t.Fatalf("resumed mission finished %s after %d sorties: %s", v.Status, v.Outcome.Sorties, v.Err)
+		}
+		if _, ok := s.replicas.lookup("f-000001"); ok {
+			t.Fatal("the node still holds the replica it resumed")
+		}
+		if snap := s.Metrics().Snapshot(); snap.ReplicasHeld != 0 || snap.ReplicaBytes != 0 || snap.Resumed != 1 {
+			t.Fatalf("replica gauges held=%d bytes=%d resumed=%d after the resume",
+				snap.ReplicasHeld, snap.ReplicaBytes, snap.Resumed)
+		}
+	})
+
+	t.Run("queue full", func(t *testing.T) {
+		s, err := New(cfg) // not started: the queue stays full
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewHandler(s))
+		defer ts.Close()
+		submitOK(t, s, Request{Region: "dock", Tags: testTags(1)})
+		putReplica(t, ts, "f-000001", 1, ckpt)
+		resp := postMission(t, ts, resume)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("resume into a full queue: status %d, want 429", resp.StatusCode)
+		}
+		if rep, ok := s.replicas.lookup("f-000001"); !ok || rep.sortie != 1 {
+			t.Fatal("a refused resume gave up the replica")
+		}
+	})
 }
 
 // TestWithRequestTimeout: a handler that outlives the per-request

@@ -7,7 +7,8 @@ import (
 
 // Replica store: each serve node holds the sortie checkpoints of
 // missions flying on a federation peer, so the coordinator can re-lease
-// a dead node's in-flight work here from the last replicated boundary.
+// a dead node's in-flight work here from the last replicated boundary:
+// its resume submit names the replica, and admission consumes it.
 // The store is deliberately dumb — opaque bytes keyed by the
 // coordinator's mission ID, bounded in count and total size so a
 // misbehaving peer cannot balloon a node's memory. Overwriting an
@@ -23,8 +24,8 @@ type replicaErr struct{ msg string }
 func (e replicaErr) Error() string { return "fleet: " + e.msg }
 
 // replica is one held checkpoint (a SAR mission's embeds its capture
-// log). put keeps the bytes it is given rather than copying them; get
-// hands out copies.
+// log). put keeps the bytes it is given rather than copying them, and
+// nothing writes to them afterwards, so lookup shares them.
 type replica struct {
 	sortie int
 	data   []byte
@@ -78,14 +79,11 @@ func (r *replicaStore) put(id string, sortie int, data []byte) error {
 	return nil
 }
 
-func (r *replicaStore) get(id string) (sortie int, data []byte, ok bool) {
+func (r *replicaStore) lookup(id string) (replica, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep, ok := r.m[id]
-	if !ok {
-		return 0, nil, false
-	}
-	return rep.sortie, append([]byte(nil), rep.data...), true
+	return rep, ok
 }
 
 func (r *replicaStore) drop(id string) bool {

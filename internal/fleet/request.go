@@ -104,6 +104,9 @@ type Request struct {
 	// flies only the remaining sorties — the node-death failover path.
 	// Resume implies Exclusive and requires an explicit Seed.
 	Resume []byte
+	// ResumeReplica, when set, names a replica this node holds (the
+	// coordinator's mission ID): Submit loads it as Resume.
+	ResumeReplica string
 }
 
 // exclusive reports whether the request must fly a single-tenant sortie.
@@ -214,8 +217,8 @@ type mission struct {
 	ckpt []byte
 
 	// capture is the mission's columnar capture log, published whole at
-	// the same commit boundary (SAR missions only). It feeds download,
-	// replay solves, and incremental segment replication.
+	// the same commit boundary (SAR missions only). It feeds download and
+	// replay solves; replication copies it inside ckpt.
 	capture []byte
 
 	// committed is how many sorties ckpt and capture cover: the

@@ -319,6 +319,16 @@ func runNodeKill(ctx context.Context, seed int, ncfg fleet.Config, nodeCount int
 		return violations, stats, nil
 	}
 
+	// The resume consumed the successor's replica and completion dropped
+	// the new successor's, so no live node may still hold one.
+	for _, n := range nodes {
+		if snap := n.sched.Metrics().Snapshot(); !n.killed && snap.ReplicasHeld != 0 {
+			violations = append(violations, Violation{seed, "replica-leak",
+				fmt.Sprintf("live node %s still holds %d replicas (%d bytes) after the mission finished",
+					n.url, snap.ReplicasHeld, snap.ReplicaBytes)})
+		}
+	}
+
 	view, _ := coord.Get(id)
 	if view.Status != fleet.StatusDone {
 		violations = append(violations, Violation{seed, "mission-completion",

@@ -863,10 +863,7 @@ func (e *Engine) captureSAR(ctx context.Context, s *sortie) error {
 	switch {
 	case s.res.Aborted:
 	case s.coord == nil && e.cfg.SARPointsPerSortie > 0:
-		var pending []capture.Record
-		cap, err := e.landingPass(ctx, s.d, s.tags[0], s.seed, func(m loc.Measurement) {
-			pending = append(pending, capture.Record{Pos: m.Pos, H: m.H, Unlocked: m.Unlocked})
-		})
+		cap, err := e.landingPass(ctx, s.d, s.tags[0], s.seed)
 		if err != nil {
 			// A dark flight contributes nothing and the mission continues;
 			// only a cancelled ctx fails the sortie.
@@ -876,15 +873,17 @@ func (e *Engine) captureSAR(ctx context.Context, s *sortie) error {
 			return nil
 		}
 		// The end-of-sortie pass flies in the landing window after the
-		// last tick; the stream sink sees no per-point budget, so the
-		// records carry fractional landing-window times and the pass's
-		// mean SNR.
+		// last tick and keeps no per-point budget, so the records carry
+		// fractional landing-window times and the pass's mean SNR.
 		n := e.cfg.SARPointsPerSortie
-		for j := range pending {
-			pending[j].T = float64(s.base+e.cfg.TicksPerSortie) + float64(j)/float64(n+1)
-			pending[j].SNRdB = cap.MeanSNRdB
+		s.newSAR = cap.Disentangled
+		s.pending = make([]capture.Record, len(cap.Disentangled))
+		for j, m := range cap.Disentangled {
+			s.pending[j] = capture.Record{
+				T:   float64(s.base+e.cfg.TicksPerSortie) + float64(j)/float64(n+1),
+				Pos: m.Pos, H: m.H, SNRdB: cap.MeanSNRdB, Unlocked: m.Unlocked,
+			}
 		}
-		s.newSAR, s.pending = cap.Disentangled, pending
 	case len(s.capTgt) > 0:
 		dis, err := sim.DisentangleCapture(s.capTgt, s.capEmb)
 		if err != nil {
@@ -965,18 +964,15 @@ func (e *Engine) commit(ctx context.Context, s *sortie) SortieResult {
 
 // landingPass is the end-of-sortie SAR pass ("runtime.sar_pass"): it
 // flies a short aperture line through the relay's plan position and
-// captures the first tag's disentangled channels. sink, when non-nil,
-// receives each usable point's disentangled measurement the
-// moment it is captured (the capture-log staging path); the stream
-// carries the same bits as the returned capture.
-func (e *Engine) landingPass(ctx context.Context, d *sim.Deployment, tg *tag.Tag, sortieSeed uint64, sink func(loc.Measurement)) (*sim.SARCapture, error) {
+// captures the first tag's disentangled channels.
+func (e *Engine) landingPass(ctx context.Context, d *sim.Deployment, tg *tag.Tag, sortieSeed uint64) (*sim.SARCapture, error) {
 	ctx, span := obs.StartSpan(ctx, "runtime.sar_pass")
 	defer span.End()
 	flight, err := e.apertureFlight(ctx, sortieSeed)
 	if err != nil {
 		return nil, err
 	}
-	return d.CollectSARCtx(ctx, flight, tg, nil, sink)
+	return d.CollectSARCtx(ctx, flight, tg, nil)
 }
 
 // apertureFlight plans and flies the sortie's aperture line (a ±1 m pass

@@ -31,7 +31,7 @@ func TestSARWithOptiTrackDropouts(t *testing.T) {
 	if len(flight.True) >= 45 {
 		t.Fatal("FoV restriction did not drop points")
 	}
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSARTotalTrackingLossFails(t *testing.T) {
 	ot.FieldOfView = func(geom.Point) bool { return false }
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 20)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, ot, rng.New(61))
-	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil); err == nil {
+	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil); err == nil {
 		t.Fatal("SAR succeeded with zero tracked points")
 	}
 }
@@ -67,7 +67,7 @@ func TestRelayFailureMidFlightShrinksCaptures(t *testing.T) {
 	tg := d.AddTag(epc.NewEPC96(0x62, 0, 0, 0, 0, 0), geom.P(1.5, 2, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 30)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(62).Split("f"))
-	full, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	full, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRelayFailureMidFlightShrinksCaptures(t *testing.T) {
 	d2 := openDeployment(true, geom.P2(-12, 1), geom.P2(0, 0), 62)
 	tg2 := d2.AddTag(epc.NewEPC96(0x62, 0, 0, 0, 0, 0), geom.P(1.5, 2, 0))
 	d2.Gains.Stable = false
-	if _, err := d2.CollectSARCtx(context.Background(), flight, tg2, nil, nil); err == nil {
+	if _, err := d2.CollectSARCtx(context.Background(), flight, tg2, nil); err == nil {
 		t.Fatal("captures succeeded with an unstable relay")
 	}
 	if len(full.Disentangled) < 20 {
@@ -95,7 +95,7 @@ func TestDeadZoneMidFlight(t *testing.T) {
 	tg := d.AddTag(epc.NewEPC96(0x63, 0, 0, 0, 0, 0), geom.P(2.5, 2, 0))
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3.5, 0, 0.8), 40)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), rng.New(63).Split("f"))
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

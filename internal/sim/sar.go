@@ -37,21 +37,12 @@ type SARCapture struct {
 // injector/watchdog timeline in lockstep with the flight (a gust or LO
 // drift then perturbs exactly the mid-aperture captures it should).
 //
-// sink, when non-nil, receives every usable point's disentangled
-// measurement the moment it is captured, before the relay moves on. The
-// disentangle divide is per point, so the stream carries exactly the
-// values of the returned capture — a streaming localizer fed through sink
-// finalizes bit-identically to one handed the capture whole. On a
-// cancelled flight measurements already sunk stay sunk; callers that must
-// not observe a partial aperture stage the stream and commit it only on a
-// nil error, exactly as they would the returned capture.
-//
 // The flight is abandoned between aperture points when ctx expires,
 // because a drone that has run out its mission clock must head home
 // rather than keep capturing. A cancelled flight returns ctx's error —
 // never a partial capture, since a truncated aperture would localize with
 // silently degraded accuracy.
-func (d *Deployment) CollectSARCtx(ctx context.Context, f drone.Flight, target *tag.Tag, onPoint func(i int), sink func(loc.Measurement)) (*SARCapture, error) {
+func (d *Deployment) CollectSARCtx(ctx context.Context, f drone.Flight, target *tag.Tag, onPoint func(i int)) (*SARCapture, error) {
 	if d.Relay == nil {
 		return nil, fmt.Errorf("sim: SAR collection requires a relay")
 	}
@@ -77,11 +68,7 @@ func (d *Deployment) CollectSARCtx(ctx context.Context, f drone.Flight, target *
 		}
 		cap.Target = append(cap.Target, mT)
 		cap.Embedded = append(cap.Embedded, mE)
-		m := loc.Disentangle(mT, mE)
-		cap.Disentangled = append(cap.Disentangled, m)
-		if sink != nil {
-			sink(m)
-		}
+		cap.Disentangled = append(cap.Disentangled, loc.Disentangle(mT, mE))
 		snrSum += snr
 	}
 	if len(cap.Target) == 0 {

@@ -11,11 +11,10 @@ import (
 )
 
 // TestCollectSARStreamMatchesBatch is the sim-layer half of the streaming
-// invariant: a StreamSolver fed point-by-point through the collection
-// sink — while the flight is still in progress — must finalize to the
-// exact bits the batch localizer computes from the completed capture.
-// This holds because per-point disentanglement is the element-wise body
-// of the batch divide, and the solver integrates cells in arrival order.
+// invariant: a StreamSolver fed the collected capture point by point
+// must finalize to the exact bits the batch localizer computes from the
+// whole capture. This holds because the solver integrates cells in
+// arrival order, so batch boundaries never change the bits.
 func TestCollectSARStreamMatchesBatch(t *testing.T) {
 	d := openDeployment(true, geom.P2(-15, 1), geom.P2(0, 0), 8)
 	d.ShadowSigmaDB = 0
@@ -31,13 +30,15 @@ func TestCollectSARStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil,
-		func(m loc.Measurement) { solver.AddBatch(context.Background(), []loc.Measurement{m}) })
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, m := range cap.Disentangled {
+		solver.AddBatch(context.Background(), []loc.Measurement{m})
+	}
 	if solver.Total() != len(cap.Disentangled) {
-		t.Fatalf("sink saw %d measurements, capture holds %d", solver.Total(), len(cap.Disentangled))
+		t.Fatalf("solver saw %d measurements, capture holds %d", solver.Total(), len(cap.Disentangled))
 	}
 
 	batch, err := loc.LocalizeCtx(context.Background(), cap.Disentangled, flight.MeasuredTrajectory(), cfg)

@@ -179,7 +179,7 @@ func TestCollectSARAndLocalize(t *testing.T) {
 
 	plan := geom.Line(geom.P(0, 0, 0.8), geom.P(3, 0, 0.8), 40)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), d.src.Split("flight"))
-	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil)
+	cap, err := d.CollectSARCtx(context.Background(), flight, tg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCollectSARRequiresRelay(t *testing.T) {
 	tg := d.AddTag(epc.NewEPC96(10, 0, 0, 0, 0, 0), geom.P2(2, 0))
 	plan := geom.Line(geom.P2(0, 0), geom.P2(1, 0), 5)
 	flight, _ := drone.Bebop2().FlyCtx(context.Background(), plan, drone.DefaultOptiTrack(), d.src)
-	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil, nil); err == nil {
+	if _, err := d.CollectSARCtx(context.Background(), flight, tg, nil); err == nil {
 		t.Fatal("SAR without a relay accepted")
 	}
 }
