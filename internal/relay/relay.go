@@ -287,34 +287,47 @@ func (r *Relay) CFOHz() float64 { return r.cfoHz }
 // a relay with a known isolation draw).
 func (r *Relay) SetAntennaIsolationDB(db float64) { r.antIsoDB = db }
 
-// downChain returns the downlink amplifier cascade: VGA → drive → PA.
-func (r *Relay) downChain() radio.Chain {
-	return radio.Chain{Stages: []radio.Amplifier{
+// cascade is one direction's amplifier chain held in a fixed array, so a
+// resolved path carries it without allocating.
+type cascade struct {
+	stages [3]radio.Amplifier
+	n      int
+}
+
+// chain returns the cascade as a radio.Chain over its own array.
+func (c *cascade) chain() radio.Chain { return radio.Chain{Stages: c.stages[:c.n]} }
+
+// cascade returns a direction's amplifier cascade: VGA → drive → PA on
+// the downlink; the VGA alone on the uplink (gain placed after the
+// band-pass filter to avoid saturation from the relayed query, §6.1).
+func (r *Relay) cascade(uplink bool) cascade {
+	if uplink {
+		return cascade{stages: [3]radio.Amplifier{r.UpVGA.Amplifier()}, n: 1}
+	}
+	return cascade{stages: [3]radio.Amplifier{
 		r.DownVGA.Amplifier(),
 		{GainDB: r.Cfg.DriveGainDB, NFdB: 4},
 		{GainDB: r.Cfg.PAGainDB, NFdB: 6, P1dBm: r.Cfg.PAP1dBm, HasP1dB: true},
-	}}
-}
-
-// upChain returns the uplink amplifier cascade (gain placed after the
-// band-pass filter to avoid saturation from the relayed query, §6.1).
-func (r *Relay) upChain() radio.Chain {
-	return radio.Chain{Stages: []radio.Amplifier{r.UpVGA.Amplifier()}}
+	}, n: 3}
 }
 
 // DownlinkGainDB returns the downlink path's programmed small-signal gain.
-func (r *Relay) DownlinkGainDB() float64 { return r.downChain().GainDB() }
+func (r *Relay) DownlinkGainDB() float64 {
+	c := r.cascade(false)
+	return c.chain().GainDB()
+}
 
 // UplinkGainDB returns the uplink path's programmed small-signal gain.
-func (r *Relay) UplinkGainDB() float64 { return r.upChain().GainDB() }
+func (r *Relay) UplinkGainDB() float64 {
+	c := r.cascade(true)
+	return c.chain().GainDB()
+}
 
 // addFloor adds the analog filter's high-frequency feed-through in place:
-// the raw input high-passed (leakage grows with frequency), attenuated by
-// floorDB, accumulated onto the filtered buffer. leak is scratch of the
-// same length whose contents are overwritten; the forward passes its own
-// output buffer, which it fills only after the floor is added.
-func (r *Relay) addFloor(filtered, raw, leak []complex128, floorDB float64) {
-	r.floorHPF.ApplyInto(leak, raw)
+// leak (the raw baseband input through floorHPF — leakage grows with
+// frequency), attenuated by floorDB, accumulated onto the filtered
+// buffer.
+func addFloor(filtered, leak []complex128, floorDB float64) {
 	g := complex(signal.AmpFromDB(-floorDB), 0)
 	for i := range filtered {
 		filtered[i] += leak[i] * g
@@ -336,45 +349,51 @@ func (r *Relay) drifted(s *radio.Synthesizer) (signal.Oscillator, error) {
 	return osc, nil
 }
 
+// path is one direction's forwarding chain resolved against the current
+// lock: down-mix oscillator, baseband filter with its feed-through
+// floor, amplifier cascade, up-mix oscillator.
+type path struct {
+	down, up signal.Oscillator
+	filter   signal.FIR
+	floorDB  float64
+	amps     cascade
+}
+
+// path resolves the downlink (synth A down, low-pass, synth B up) or the
+// uplink (synth B down, band-pass, synth A up; the independent second
+// pair when the relay is not mirrored). Resolving before a lock (or
+// after a fault cleared one) is an error, not a panic: a flying relay
+// must survive it.
+func (r *Relay) path(uplink bool) (path, error) {
+	dir, downSynth, upSynth := "downlink", r.SynthA, r.SynthB
+	p := path{filter: r.LPF, floorDB: r.lpfFloorDB}
+	if uplink {
+		dir, downSynth, upSynth = "uplink", r.SynthB, r.SynthA
+		if !r.Cfg.Mirrored {
+			downSynth, upSynth = r.synthB2, r.synthA2
+		}
+		p.filter, p.floorDB = r.BPF, r.bpfFloorDB
+	}
+	if !r.locked {
+		return path{}, fmt.Errorf("relay: %s forward before carrier lock", dir)
+	}
+	var err error
+	if p.down, err = r.drifted(downSynth); err != nil {
+		return path{}, err
+	}
+	if p.up, err = r.drifted(upSynth); err != nil {
+		return path{}, err
+	}
+	p.amps = r.cascade(uplink)
+	return p, nil
+}
+
 // ForwardDownlink runs a received waveform (reader frame, around the
 // locked carrier) through the downlink path: downconvert with synth A,
 // low-pass filter (with feed-through floor), amplify, upconvert with
 // synth B. startSample anchors oscillator phase continuity across calls.
-// Forwarding before a lock (or after a fault cleared one) is an error,
-// not a panic: a flying relay must survive it.
 func (r *Relay) ForwardDownlink(x []complex128, startSample int) ([]complex128, error) {
-	out := make([]complex128, len(x))
-	if err := r.forwardDownlinkInto(out, x, startSample); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// forwardDownlinkInto is ForwardDownlink writing into dst, which must
-// have x's length and may alias x: x is read only by the first mix, and
-// dst is written (first as the floor's leak scratch) only after it.
-func (r *Relay) forwardDownlinkInto(dst, x []complex128, startSample int) error {
-	if !r.locked {
-		return fmt.Errorf("relay: downlink forward before carrier lock")
-	}
-	oscA, err := r.drifted(r.SynthA)
-	if err != nil {
-		return err
-	}
-	oscB, err := r.drifted(r.SynthB)
-	if err != nil {
-		return err
-	}
-	bb := signal.GetIQ(len(x))
-	defer signal.PutIQ(bb)
-	oscA.MixDownInto(bb, x, r.Cfg.Fs, startSample)
-	filt := signal.GetIQ(len(x))
-	defer signal.PutIQ(filt)
-	r.LPF.ApplyInto(filt, bb)
-	r.addFloor(filt, bb, dst, r.lpfFloorDB)
-	r.downChain().Apply(filt, 0, nil)
-	oscB.MixUpInto(dst, filt, r.Cfg.Fs, startSample)
-	return nil
+	return r.forward(x, startSample, false)
 }
 
 // ForwardUplink runs a received waveform (tag frame, around the shifted
@@ -384,43 +403,28 @@ func (r *Relay) forwardDownlinkInto(dst, x []complex128, startSample int) error 
 // used, cancelling their phase offsets; the no-mirror baseline uses the
 // independent second pair.
 func (r *Relay) ForwardUplink(x []complex128, startSample int) ([]complex128, error) {
-	out := make([]complex128, len(x))
-	if err := r.forwardUplinkInto(out, x, startSample); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return r.forward(x, startSample, true)
 }
 
-// forwardUplinkInto is ForwardUplink writing into dst, under the same
-// aliasing rule as forwardDownlinkInto.
-func (r *Relay) forwardUplinkInto(dst, x []complex128, startSample int) error {
-	if !r.locked {
-		return fmt.Errorf("relay: uplink forward before carrier lock")
-	}
-	downSynth := r.SynthB
-	upSynth := r.SynthA
-	if !r.Cfg.Mirrored {
-		downSynth = r.synthB2
-		upSynth = r.synthA2
-	}
-	downOsc, err := r.drifted(downSynth)
+// forward runs x through one direction's path into a fresh output, which
+// doubles as the floor's leak scratch before the last mix fills it.
+func (r *Relay) forward(x []complex128, startSample int, uplink bool) ([]complex128, error) {
+	p, err := r.path(uplink)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	upOsc, err := r.drifted(upSynth)
-	if err != nil {
-		return err
-	}
+	out := make([]complex128, len(x))
 	bb := signal.GetIQ(len(x))
 	defer signal.PutIQ(bb)
-	downOsc.MixDownInto(bb, x, r.Cfg.Fs, startSample)
+	p.down.MixDownInto(bb, x, r.Cfg.Fs, startSample)
 	filt := signal.GetIQ(len(x))
 	defer signal.PutIQ(filt)
-	r.BPF.ApplyInto(filt, bb)
-	r.addFloor(filt, bb, dst, r.bpfFloorDB)
-	r.upChain().Apply(filt, 0, nil)
-	upOsc.MixUpInto(dst, filt, r.Cfg.Fs, startSample)
-	return nil
+	p.filter.ApplyInto(filt, bb)
+	r.floorHPF.ApplyInto(out, bb)
+	addFloor(filt, out, p.floorDB)
+	p.amps.chain().Apply(filt, 0, nil)
+	p.up.MixUpInto(out, filt, r.Cfg.Fs, startSample)
+	return out, nil
 }
 
 // HardwarePhase returns the constant phase the mirrored relay imparts on a

@@ -3,6 +3,7 @@ package relay
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"rfly/internal/rng"
@@ -125,20 +126,76 @@ func TestForwardDownlinkAllocs(t *testing.T) {
 	}
 }
 
-// TestMeasureAllAllocs pins the pooled isolation measurement: each probe
-// tone is synthesized into a pooled buffer that the forward then
-// overwrites with its output, and the floor's leak scratch is that same
-// buffer, so measuring all four links on a locked relay allocates nothing.
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS=1 pin:
+// the heap objects one call of f allocates at the current GOMAXPROCS,
+// averaged over runs calls. It warms up with runs calls first, so the
+// scheduler's per-P free lists of exited goroutines have filled and
+// spawning one no longer allocates its descriptor.
+func mallocsPerRun(runs int, f func()) uint64 {
+	for range runs {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// TestMeasureAllAllocs pins the isolation measurement's allocations
+// exactly: scratch comes from the IQ pool and the fan-out's lane state
+// is recycled, so measuring all four links on a locked relay allocates
+// one closure per lane it spawns — min(4, GOMAXPROCS)−1, since the
+// caller's goroutine runs one lane.
 func TestMeasureAllAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := newTestRelay(1)
 	trial := rng.New(2)
-	got := testing.AllocsPerRun(5, func() {
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := mallocsPerRun(50, func() {
+			if _, err := r.MeasureAll(trial); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := uint64(min(4, procs) - 1); got != want {
+			t.Fatalf("GOMAXPROCS=%d: MeasureAll %d allocs/op, want %d", procs, got, want)
+		}
+	}
+}
+
+// TestMeasureAllTakesNoProbeBuffer checks that the measurement streams
+// on FFT-sized scratch: with the IQ pool emptied and restocked with small
+// buffers only, a request for a probe-length buffer could not be served
+// from it and would allocate 256 KB, so MeasureAll on a locked relay
+// allocates far less than one probe buffer.
+func TestMeasureAllTakesNoProbeBuffer(t *testing.T) {
+	r := newTestRelay(3)
+	trial := rng.New(4)
+	drain := func() {
+		for range 4 * 32 {
+			signal.GetIQ(1) // empties the pool; its buffers are dropped
+		}
+	}
+	drain()
+	// Leave an empty pool, not a full one of small buffers that the next
+	// test's larger requests would miss.
+	t.Cleanup(drain)
+	for range 32 {
+		signal.PutIQ(make([]complex128, 2048))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 4 {
 		if _, err := r.MeasureAll(trial); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got != 0 {
-		t.Fatalf("MeasureAll: %v allocs/op, want 0", got)
+	}
+	runtime.ReadMemStats(&after)
+	if got, probeBytes := after.TotalAlloc-before.TotalAlloc, uint64(probeSamples*16); got >= probeBytes {
+		t.Fatalf("4 MeasureAll calls allocated %d bytes, at least one %d-byte probe buffer", got, probeBytes)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // fftPlan holds the twiddle factors for one power-of-two transform size.
 // Plans are immutable after construction and shared across goroutines.
 type fftPlan struct {
-	n int
-	w []complex128 // w[k] = e^{-2πik/n}, k < n/2
+	n    int
+	w    []complex128 // w[k] = e^{-2πik/n}, k < n/2
+	wInv []complex128 // conj(w[k]), the inverse transform's twiddles
 }
 
 var fftPlans sync.Map // int -> *fftPlan
@@ -28,11 +29,13 @@ func planFor(n int) *fftPlan {
 		return v.(*fftPlan)
 	}
 	w := make([]complex128, n/2)
+	wInv := make([]complex128, n/2)
 	for k := range w {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		w[k] = complex(c, s)
+		wInv[k] = complex(real(w[k]), -imag(w[k]))
 	}
-	p := &fftPlan{n: n, w: w}
+	p := &fftPlan{n: n, w: w, wInv: wInv}
 	if v, loaded := fftPlans.LoadOrStore(n, p); loaded {
 		return v.(*fftPlan)
 	}
@@ -55,17 +58,17 @@ func (p *fftPlan) transform(x []complex128, invert bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
+	tw := p.w
+	if invert {
+		tw = p.wInv
+	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for start := 0; start < n; start += size {
 			k := 0
 			for i := start; i < start+half; i++ {
-				w := p.w[k]
-				if invert {
-					w = complex(real(w), -imag(w))
-				}
-				t := x[i+half] * w
+				t := x[i+half] * tw[k]
 				x[i+half] = x[i] - t
 				x[i] += t
 				k += step
@@ -142,27 +145,71 @@ func fftSizeFor(m int) int {
 	return n
 }
 
-// applyFFTInto computes the same zero-state, same-length convolution as
-// the direct form via overlap-save: each block's segment carries the
-// previous m−1 inputs as history, so block boundaries are seamless and the
-// output is bitwise-independent of the block size (up to FFT rounding,
-// bounded ≤1e-9 against the direct path). dst and x must have equal
-// length and may not alias.
-func (f FIR) applyFFTInto(dst, x []complex128) {
-	m := len(f.Taps)
-	n := fftSizeFor(m)
-	hop := n - m + 1
-	plan := planFor(n)
+// OverlapSave is one filter's overlap-save FFT convolver, cut into the
+// blocks ApplyInto's FFT path runs: for m taps the block size is
+// n = fftSizeFor(m), and each block yields hop = n−m+1 outputs from n
+// inputs, the first m−1 of which are the previous block's history. A
+// caller that synthesizes its input block by block (the relay's
+// isolation probe) drives Block directly and gets ApplyInto's outputs
+// bit for bit without holding the whole buffer.
+type OverlapSave struct {
+	plan *fftPlan
+	h    []complex128 // transform of the zero-padded taps
+}
 
-	h := GetIQ(n)
-	defer PutIQ(h)
+// TakesFFTPath reports whether ApplyInto filters a length-n buffer with
+// overlap-save FFT blocks (OverlapSave) rather than the direct form.
+func (f FIR) TakesFFTPath(n int) bool { return useFFT(len(f.Taps), n) }
+
+// OverlapSaveSize returns the block size n and the hop n−len(Taps)+1 of
+// f's overlap-save partition.
+func (f FIR) OverlapSaveSize() (n, hop int) {
+	n = fftSizeFor(len(f.Taps))
+	return n, n - len(f.Taps) + 1
+}
+
+// NewOverlapSave builds f's block convolver on h, caller-owned scratch
+// of the block size (OverlapSaveSize) that it overwrites with the taps'
+// transform; h must outlive every Block call.
+func (f FIR) NewOverlapSave(h []complex128) OverlapSave {
+	n := len(h)
 	for i := range h {
 		h[i] = 0
 	}
 	for i, t := range f.Taps {
 		h[i] = complex(t, 0)
 	}
+	plan := planFor(n)
 	plan.transform(h, false)
+	return OverlapSave{plan: plan, h: h}
+}
+
+// Block convolves one block in place. On entry seg (block-size long)
+// holds the inputs x[pos−m+1 : pos+hop) of the block whose outputs
+// start at pos, zero where an index falls outside x; on return
+// seg[m−1:] holds the outputs y[pos : pos+hop) of the zero-state
+// convolution, and seg[:m−1] holds circular wrap-around to be ignored.
+func (c OverlapSave) Block(seg []complex128) {
+	c.plan.transform(seg, false)
+	h := c.h[:len(seg)]
+	for i := range seg {
+		seg[i] *= h[i]
+	}
+	c.plan.transform(seg, true)
+}
+
+// applyFFTInto computes the same zero-state, same-length convolution as
+// the direct form as a loop of OverlapSave blocks: each block's segment
+// carries the previous m−1 inputs as history, so block boundaries are
+// seamless and the output is bitwise-independent of the block size (up
+// to FFT rounding, bounded ≤1e-9 against the direct path). dst and x
+// must have equal length and may not alias.
+func (f FIR) applyFFTInto(dst, x []complex128) {
+	m := len(f.Taps)
+	n, hop := f.OverlapSaveSize()
+	h := GetIQ(n)
+	defer PutIQ(h)
+	conv := f.NewOverlapSave(h)
 
 	seg := GetIQ(n)
 	defer PutIQ(seg)
@@ -176,11 +223,7 @@ func (f FIR) applyFFTInto(dst, x []complex128) {
 				seg[i] = x[idx]
 			}
 		}
-		plan.transform(seg, false)
-		for i := range seg {
-			seg[i] *= h[i]
-		}
-		plan.transform(seg, true)
+		conv.Block(seg)
 		end := pos + hop
 		if end > len(x) {
 			end = len(x)

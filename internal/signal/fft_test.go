@@ -82,6 +82,72 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// transformRef is the radix-2 transform with the inverse twiddle
+// conjugated inside the butterfly loop, as the plan once computed it:
+// the reference the plan's precomputed inverse table must reproduce.
+func transformRef(p *fftPlan, x []complex128, invert bool) {
+	n := p.n
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j |= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			k := 0
+			for i := start; i < start+half; i++ {
+				w := p.w[k]
+				if invert {
+					w = complex(real(w), -imag(w))
+				}
+				t := x[i+half] * w
+				x[i+half] = x[i] - t
+				x[i] += t
+				k += step
+			}
+		}
+	}
+	if invert {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+// TestFFTMatchesReferenceLoop holds FFT and IFFT, which read a
+// precomputed conjugate twiddle table, to the loop that conjugated each
+// twiddle in place, bit for bit, for every power-of-two size 2–4096.
+func TestFFTMatchesReferenceLoop(t *testing.T) {
+	for n := 2; n <= 4096; n <<= 1 {
+		x := randomIQ(n, uint64(n)+3)
+		for _, invert := range []bool{false, true} {
+			want := append([]complex128(nil), x...)
+			transformRef(planFor(n), want, invert)
+			var got []complex128
+			var err error
+			if invert {
+				got, err = IFFT(x)
+			} else {
+				got, err = FFT(x)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("n=%d invert=%v: transform differs from the reference loop", n, invert)
+			}
+		}
+	}
+}
+
 // TestOverlapSaveMatchesDirect is the tentpole's correctness gate: the
 // overlap-save path must agree with the direct form to ≤1e-9 max abs
 // error on randomized IQ buffers, across tap counts and buffer lengths
@@ -281,7 +347,7 @@ func TestIQPoolReuse(t *testing.T) {
 // path at the relay's LPF/BPF tap counts over a representative capture
 // block.
 func BenchmarkConvolution(b *testing.B) {
-	for _, taps := range []int{63, 95} {
+	for _, taps := range []int{31, 63, 95} {
 		f := LowPass(250e3, DefaultSampleRate, taps)
 		x := randomIQ(16384, uint64(taps))
 		dst := make([]complex128, len(x))
@@ -291,6 +357,9 @@ func BenchmarkConvolution(b *testing.B) {
 				f.ApplyDirect(x)
 			}
 		})
+		if !useFFT(taps, len(x)) {
+			continue
+		}
 		b.Run(fmt.Sprintf("fft_taps=%d", taps), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -46,12 +46,18 @@ func Power(x []complex128) float64 {
 	if len(x) == 0 {
 		return 0
 	}
-	var sum float64
+	return AddEnergy(0, x) / float64(len(x))
+}
+
+// AddEnergy returns sum + Σ|x|², adding in ascending index order, so
+// feeding a buffer's blocks through it in order reproduces Power's sum
+// over the whole buffer bit for bit.
+func AddEnergy(sum float64, x []complex128) float64 {
 	for _, v := range x {
 		re, im := real(v), imag(v)
 		sum += re*re + im*im
 	}
-	return sum / float64(len(x))
+	return sum
 }
 
 // PowerDBm returns the mean sample power of x in dBm (−inf for silence).
@@ -97,9 +103,16 @@ func Tone(n int, freq, fs, phase, amp float64) []complex128 {
 // ToneInto is Tone writing len(dst) samples into a caller-supplied buffer
 // (typically pooled scratch, see GetIQ).
 func ToneInto(dst []complex128, freq, fs, phase, amp float64) {
+	ToneAtInto(dst, freq, fs, phase, amp, 0)
+}
+
+// ToneAtInto writes the tone's samples start … start+len(dst)−1 into
+// dst, the same values ToneInto writes at those indices of a longer
+// buffer, so a tone can be synthesized block by block.
+func ToneAtInto(dst []complex128, freq, fs, phase, amp float64, start int) {
 	w := 2 * math.Pi * freq / fs
 	for i := range dst {
-		dst[i] = cmplx.Rect(amp, phase+w*float64(i))
+		dst[i] = cmplx.Rect(amp, phase+w*float64(start+i))
 	}
 }
 
@@ -204,10 +217,13 @@ func (f FIR) ApplyDirect(x []complex128) []complex128 {
 // applyDirectInto accumulates the real and imaginary parts separately:
 // for finite input this is bit-identical to summing complex(t, 0)*x[idx],
 // whose dropped 0·b cross terms are signed zeros that cannot change a sum
-// starting at +0, at half the multiplies.
+// starting at +0, at half the multiplies. The first len(taps) outputs
+// see a truncated history (the loop stops at x[0]); the rest are
+// ApplyDirectFrom's branch-free steady state, summed in the same order.
 func (f FIR) applyDirectInto(dst, x []complex128) {
 	taps := f.Taps
-	for n := range x {
+	head := min(len(taps), len(x))
+	for n := 0; n < head; n++ {
 		var re, im float64
 		for k, t := range taps {
 			idx := n - k
@@ -219,6 +235,51 @@ func (f FIR) applyDirectInto(dst, x []complex128) {
 			im += t * imag(v)
 		}
 		dst[n] = complex(re, im)
+	}
+	f.ApplyDirectFrom(dst[head:len(x)], x, head)
+}
+
+// ApplyDirectFrom writes the direct form's outputs at indices
+// from … from+len(dst)−1 of x into dst: dst[i] = Σₖ taps[k]·x[from+i−k],
+// summed in ascending k exactly like ApplyDirect, so each value is
+// ApplyDirect(x)[from+i] bit for bit. from must be ≥ len(taps)−1 (every
+// tap has history) and from+len(dst) ≤ len(x). Four outputs share each
+// pass over the taps, which keeps eight independent sums in flight
+// instead of one output's two dependent chains.
+func (f FIR) ApplyDirectFrom(dst, x []complex128, from int) {
+	taps := f.Taps
+	m := len(taps)
+	i := 0
+	for ; i+3 < len(dst); i += 4 {
+		n := from + i
+		w := x[n+1-m : n+4] // w[m−1−k+j] = x[n+j−k]
+		var re0, im0, re1, im1, re2, im2, re3, im3 float64
+		for k, t := range taps {
+			v := w[m-1-k : m+3-k]
+			re0 += t * real(v[0])
+			im0 += t * imag(v[0])
+			re1 += t * real(v[1])
+			im1 += t * imag(v[1])
+			re2 += t * real(v[2])
+			im2 += t * imag(v[2])
+			re3 += t * real(v[3])
+			im3 += t * imag(v[3])
+		}
+		dst[i] = complex(re0, im0)
+		dst[i+1] = complex(re1, im1)
+		dst[i+2] = complex(re2, im2)
+		dst[i+3] = complex(re3, im3)
+	}
+	for ; i < len(dst); i++ {
+		n := from + i
+		w := x[n+1-m : n+1]
+		var re, im float64
+		for k, t := range taps {
+			v := w[m-1-k]
+			re += t * real(v)
+			im += t * imag(v)
+		}
+		dst[i] = complex(re, im)
 	}
 }
 

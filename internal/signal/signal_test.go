@@ -440,3 +440,63 @@ func TestDirectFIRMatchesComplexProduct(t *testing.T) {
 		}
 	}
 }
+
+// sameBits reports whether two buffers are equal bit for bit, signed
+// zeros and NaN payloads included.
+func sameBits(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDirectSplitMatchesSingleLoop holds the direct form's head plus
+// branch-free steady state to the single loop it replaced (every output
+// walks the taps in ascending order and stops at x[0]), bit for bit,
+// over every tap count 1–47 and every length 0–300, and holds
+// ApplyDirectFrom on an inner range to the same outputs.
+func TestDirectSplitMatchesSingleLoop(t *testing.T) {
+	src := rng.New(23)
+	x := make([]complex128, 300)
+	for i := range x {
+		x[i] = complex(src.Gaussian(0, 1), src.Gaussian(0, 1))
+	}
+	for taps := 1; taps <= 47; taps++ {
+		f := FIR{Taps: make([]float64, taps)}
+		for k := range f.Taps {
+			f.Taps[k] = src.Gaussian(0, 1)
+		}
+		for n := 0; n <= len(x); n++ {
+			in := x[:n]
+			want := make([]complex128, n)
+			for i := range in {
+				var re, im float64
+				for k, tp := range f.Taps {
+					idx := i - k
+					if idx < 0 {
+						break
+					}
+					re += tp * real(in[idx])
+					im += tp * imag(in[idx])
+				}
+				want[i] = complex(re, im)
+			}
+			if got := f.ApplyDirect(in); !sameBits(got, want) {
+				t.Fatalf("taps=%d len=%d: split direct form differs from the single loop", taps, n)
+			}
+			if from := taps - 1; n > from {
+				got := make([]complex128, n-from)
+				f.ApplyDirectFrom(got, in, from)
+				if !sameBits(got, want[from:]) {
+					t.Fatalf("taps=%d len=%d: ApplyDirectFrom(%d) differs from the direct form", taps, n, from)
+				}
+			}
+		}
+	}
+}
